@@ -139,9 +139,9 @@ MultiCoreBench::processPacket(net::Packet &packet)
 
 MultiCoreResult
 MultiCoreBench::runSerial(net::TraceSource &source,
-                          uint32_t max_packets)
+                          uint64_t max_packets)
 {
-    for (uint32_t i = 0; i < max_packets; i++) {
+    for (uint64_t i = 0; i < max_packets; i++) {
         // Graceful shutdown: stop pulling new packets; everything
         // processed so far stays recorded and flushes normally.
         if (shutdownRequested())
@@ -156,7 +156,7 @@ MultiCoreBench::runSerial(net::TraceSource &source,
 
 MultiCoreResult
 MultiCoreBench::runParallel(net::TraceSource &source,
-                            uint32_t max_packets)
+                            uint64_t max_packets)
 {
     const uint32_t n = numEngines();
     const uint32_t batch_size = std::max<uint32_t>(1, cfg.dispatchBatch);
@@ -268,10 +268,9 @@ MultiCoreBench::runParallel(net::TraceSource &source,
                               queues[e]->size());
     };
     // Batched front end: stage up to hash_batch packets, parse and
-    // flow-hash their headers in one SIMD kernel call, then make
-    // every placement decision in trace order.  The kernel hash is
-    // bit-identical to net::flowHash, so engine e still receives
-    // exactly the serial path's packet subsequence.
+    // flow-hash their headers in one call, then make every placement
+    // decision in trace order with the serial path's hash, so engine
+    // e still receives exactly the serial path's packet subsequence.
     constexpr uint32_t hash_batch = 16;
     obs::Counter &hash_batches_ctr =
         obs::defaultRegistry().counter("mc.hash_batches");
@@ -280,7 +279,7 @@ MultiCoreBench::runParallel(net::TraceSource &source,
     const net::Packet *ptrs[hash_batch];
     uint32_t hash[hash_batch];
     bool valid[hash_batch];
-    uint32_t taken = 0;
+    uint64_t taken = 0;
     bool stop = false;
     while (!stop) {
         staged.clear();
@@ -343,7 +342,7 @@ MultiCoreBench::runParallel(net::TraceSource &source,
 }
 
 MultiCoreResult
-MultiCoreBench::run(net::TraceSource &source, uint32_t max_packets)
+MultiCoreBench::run(net::TraceSource &source, uint64_t max_packets)
 {
     auto start = std::chrono::steady_clock::now();
     MultiCoreResult res = cfg.parallel && numEngines() > 1

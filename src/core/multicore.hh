@@ -102,7 +102,7 @@ class MultiCoreBench
      * all threads have shut down cleanly.
      */
     MultiCoreResult run(net::TraceSource &source,
-                        uint32_t max_packets);
+                        uint64_t max_packets);
 
     /** Result so far. */
     MultiCoreResult result() const;
@@ -140,8 +140,8 @@ class MultiCoreBench
     /**
      * The policy core of dispatchIndex(), taking the parse outcome
      * and (when @p has_tuple) the packet's flow hash.  The batched
-     * parallel dispatcher computes hashes for 16 headers per SIMD
-     * kernel call (net::hashPacketBatch) and feeds them through here
+     * parallel dispatcher computes hashes for 16 headers per call
+     * (net::hashPacketBatch) and feeds them through here
      * one at a time in trace order, so placement state advances
      * exactly as in the serial path.
      */
@@ -151,9 +151,9 @@ class MultiCoreBench
     uint32_t leastLoadedEngine() const;
 
     MultiCoreResult runSerial(net::TraceSource &source,
-                              uint32_t max_packets);
+                              uint64_t max_packets);
     MultiCoreResult runParallel(net::TraceSource &source,
-                                uint32_t max_packets);
+                                uint64_t max_packets);
 
     /** Publish mc.* metrics for a finished run(). */
     void publishRunMetrics(const MultiCoreResult &res);

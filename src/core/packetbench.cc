@@ -9,7 +9,6 @@
 #include <cstdlib>
 
 #include "common/shutdown.hh"
-#include "net/simd/kernels.hh"
 #include "sim/memmap.hh"
 #include "sim/simerror.hh"
 
@@ -115,8 +114,7 @@ PacketBench::PacketBench(Application &app_, BenchConfig cfg_)
     faultsSimCtr = &reg.counter("pb.faults.sim");
     faultsBudgetCtr = &reg.counter("pb.faults.budget");
     faultsQuarantinedCtr = &reg.counter("pb.faults.quarantined");
-    simNsCtr = &reg.counter("phase.simulate_ns");
-    mipsGauge = &reg.gauge("pb.sim_mips");
+    runNsCtr = &reg.counter("sim.interp.run_ns");
     interpMipsGauge = &reg.gauge("sim.interp.mips");
     interpBlocksGauge = &reg.gauge("sim.interp.blocks");
     interpBlockLenGauge = &reg.gauge("sim.interp.block_len");
@@ -141,11 +139,6 @@ PacketBench::PacketBench(Application &app_, BenchConfig cfg_)
         .set(static_cast<double>(blockMap->numBlocks()));
     reg.gauge("pb.program_bytes")
         .set(static_cast<double>(cpu.program().sizeBytes()));
-    // Resolved SIMD kernel backend serving the host hot paths
-    // (0 = generic, 1 = sse42, 2 = avx2; docs/PERFORMANCE.md).
-    reg.gauge("sim.simd.backend")
-        .set(static_cast<double>(
-            static_cast<uint8_t>(net::simd::activeBackend())));
 
     // Interned once: span annotation needs a pointer that stays valid
     // for the tracer's lifetime, not the app's std::string buffer.
@@ -227,7 +220,7 @@ PacketBench::recordFault(const net::Packet &capture, FaultKind kind,
     // histograms that characterize the workload.
     packetsCtr->add(1);
     instsCtr->add(outcome.stats.instCount);
-    simNsCtr->add(sim_ns);
+    runNsCtr->add(sim_ns);
     faultsTotalCtr->add(1);
     switch (kind) {
       case FaultKind::MalformedPacket:
@@ -244,9 +237,6 @@ PacketBench::recordFault(const net::Packet &capture, FaultKind kind,
     }
     myInsts += outcome.stats.instCount;
     mySimNs += sim_ns;
-    if (mySimNs > 0)
-        mipsGauge->set(static_cast<double>(myInsts) * 1e3 /
-                       static_cast<double>(mySimNs));
     publishInterpMetrics();
     if (uarch)
         publishUarchMetrics();
@@ -351,10 +341,11 @@ PacketBench::processPacket(net::Packet &packet)
     rec->beginPacket();
     if (timer)
         timer->mark();
+    // One clock pair per packet times cpu.run() on both the
+    // completion and the fault path (sim.interp.run_ns).
     auto sim_start = std::chrono::steady_clock::now();
     sim::RunResult result{};
     try {
-        PB_SCOPED_TIMER("sim.interp.run_ns");
         result = cpu.run(entry, cfg.instBudget);
     } catch (const sim::SimError &e) {
         // Leave the engine exactly as a completed packet would:
@@ -413,16 +404,13 @@ PacketBench::processPacket(net::Packet &packet)
     instsCtr->add(outcome.stats.instCount);
     (outcome.verdict == isa::SysCode::Send ? sentCtr : droppedCtr)
         ->add(1);
-    simNsCtr->add(sim_ns);
+    runNsCtr->add(sim_ns);
     instHist->observe(outcome.stats.instCount);
     uniqueHist->observe(outcome.stats.uniqueInstCount);
     if (cycleHist)
         cycleHist->observe(outcome.cycles);
     myInsts += outcome.stats.instCount;
     mySimNs += sim_ns;
-    if (mySimNs > 0)
-        mipsGauge->set(static_cast<double>(myInsts) * 1e3 /
-                       static_cast<double>(mySimNs));
     publishInterpMetrics();
     if (uarch)
         publishUarchMetrics();

@@ -303,8 +303,7 @@ class PacketBench
     obs::Counter *faultsSimCtr;
     obs::Counter *faultsBudgetCtr;
     obs::Counter *faultsQuarantinedCtr;
-    obs::Counter *simNsCtr;
-    obs::Gauge *mipsGauge;
+    obs::Counter *runNsCtr;
     obs::Gauge *interpMipsGauge;
     obs::Gauge *interpBlocksGauge;
     obs::Gauge *interpBlockLenGauge;

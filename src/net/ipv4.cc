@@ -5,19 +5,23 @@
 
 #include "ipv4.hh"
 
-#include <algorithm>
-
-#include "net/simd/kernels.hh"
-
 namespace pb::net
 {
 
 uint16_t
 inetChecksum(const uint8_t *data, unsigned len)
 {
-    // Runtime-dispatched kernel (generic/sse42/avx2); every backend
-    // is pinned bit-identical to the scalar reference sum.
-    return simd::kernels().checksum(data, len);
+    // A 64-bit accumulator: a 32-bit one drops carries once the sum
+    // of 0xffff words passes 2^32, i.e. beyond ~2^17 bytes.
+    uint64_t sum = 0;
+    unsigned i = 0;
+    for (; i + 1 < len; i += 2)
+        sum += loadBe16(data + i);
+    if (i < len)
+        sum += static_cast<uint32_t>(data[i]) << 8;
+    while (sum >> 16)
+        sum = (sum & 0xffff) + (sum >> 16);
+    return static_cast<uint16_t>(~sum);
 }
 
 bool
@@ -82,32 +86,11 @@ void
 hashPacketBatch(const Packet *const *packets, unsigned n,
                 uint32_t *hash, bool *valid)
 {
-    constexpr unsigned chunk = 16;
-    uint32_t src[chunk], dst[chunk], ports[chunk], proto[chunk];
-    unsigned lane_index[chunk];
-
-    for (unsigned base = 0; base < n; base += chunk) {
-        unsigned count = std::min(n - base, chunk);
-        unsigned lanes = 0;
-        for (unsigned i = 0; i < count; i++) {
-            FiveTuple tuple;
-            valid[base + i] = parseFiveTuple(*packets[base + i], tuple);
-            if (!valid[base + i])
-                continue;
-            src[lanes] = tuple.src;
-            dst[lanes] = tuple.dst;
-            ports[lanes] =
-                (static_cast<uint32_t>(tuple.srcPort) << 16) |
-                tuple.dstPort;
-            proto[lanes] = tuple.proto;
-            lane_index[lanes] = base + i;
-            lanes++;
-        }
-        uint32_t out[chunk];
-        simd::kernels().flowHashBatch(src, dst, ports, proto, out,
-                                      lanes);
-        for (unsigned lane = 0; lane < lanes; lane++)
-            hash[lane_index[lane]] = out[lane];
+    for (unsigned i = 0; i < n; i++) {
+        FiveTuple tuple;
+        valid[i] = parseFiveTuple(*packets[i], tuple);
+        if (valid[i])
+            hash[i] = flowHash(tuple);
     }
 }
 

@@ -174,10 +174,9 @@ bool parseFiveTuple(const Packet &packet, FiveTuple &tuple);
 /**
  * Parse and flow-hash @p n packets in one pass: valid[i] reports
  * whether packets[i] parsed (parseFiveTuple semantics) and, when it
- * did, hash[i] == flowHash(its 5-tuple) — computed by the batched
- * SIMD kernel, bit-identical to the scalar form.  Entries with
- * valid[i] == false leave hash[i] unspecified.  The dispatcher's
- * batched front end (core/multicore.cc).
+ * did, hash[i] == flowHash(its 5-tuple).  Entries with valid[i] ==
+ * false leave hash[i] unspecified.  The dispatcher's batched front
+ * end (core/multicore.cc).
  */
 void hashPacketBatch(const Packet *const *packets, unsigned n,
                      uint32_t *hash, bool *valid);

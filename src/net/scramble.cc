@@ -7,7 +7,6 @@
 
 #include "common/hash.hh"
 #include "net/ipv4.hh"
-#include "net/simd/kernels.hh"
 
 namespace pb::net
 {
@@ -25,13 +24,6 @@ AddressScrambler::scramble(uint32_t addr) const
         right = new_right;
     }
     return (static_cast<uint32_t>(left) << 16) | right;
-}
-
-void
-AddressScrambler::scrambleBatch(const uint32_t *in, uint32_t *out,
-                                unsigned n) const
-{
-    simd::kernels().feistelBatch(in, out, n, key, rounds);
 }
 
 uint32_t
@@ -69,10 +61,10 @@ AddressScrambler::scramblePacket(Packet &packet) const
 
     uint32_t old_src = ip.src();
     uint32_t old_dst = ip.dst();
-    uint32_t addrs[2] = {old_src, old_dst};
-    scrambleBatch(addrs, addrs, 2);
-    ip.setSrc(addrs[0]);
-    ip.setDst(addrs[1]);
+    uint32_t new_src = scramble(old_src);
+    uint32_t new_dst = scramble(old_dst);
+    ip.setSrc(new_src);
+    ip.setDst(new_dst);
 
     if (!checksum_ok)
         return; // leave an invalid checksum invalid
@@ -80,13 +72,13 @@ AddressScrambler::scramblePacket(Packet &packet) const
     // keeps the checksum valid without touching the option bytes.
     uint16_t sum = ip.checksum();
     sum = incrementalChecksum(sum, static_cast<uint16_t>(old_src >> 16),
-                              static_cast<uint16_t>(addrs[0] >> 16));
+                              static_cast<uint16_t>(new_src >> 16));
     sum = incrementalChecksum(sum, static_cast<uint16_t>(old_src),
-                              static_cast<uint16_t>(addrs[0]));
+                              static_cast<uint16_t>(new_src));
     sum = incrementalChecksum(sum, static_cast<uint16_t>(old_dst >> 16),
-                              static_cast<uint16_t>(addrs[1] >> 16));
+                              static_cast<uint16_t>(new_dst >> 16));
     sum = incrementalChecksum(sum, static_cast<uint16_t>(old_dst),
-                              static_cast<uint16_t>(addrs[1]));
+                              static_cast<uint16_t>(new_dst));
     ip.setChecksum(sum);
 }
 

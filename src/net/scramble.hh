@@ -34,14 +34,6 @@ class AddressScrambler
     uint32_t unscramble(uint32_t addr) const;
 
     /**
-     * Scramble @p n addresses through the runtime-dispatched SIMD
-     * Feistel kernel: out[i] == scramble(in[i]) bit-for-bit.
-     * In-place (out == in) is allowed.
-     */
-    void scrambleBatch(const uint32_t *in, uint32_t *out,
-                       unsigned n) const;
-
-    /**
      * Scramble the source and destination addresses of an IPv4
      * packet in place.  When the incoming header checksum verifies
      * (over the full IHL-derived header), it is updated

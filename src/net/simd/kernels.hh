@@ -1,135 +1,42 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels for the hot per-packet host work.
+ * Name of the host-kernel backend, for run provenance.
  *
- * The host framework's per-packet arithmetic — Internet checksum
- * verify/repair, 5-tuple flow hashing, the Feistel address-scrambler
- * rounds, and packet-memory clearing — used to be scalar.  This layer
- * provides those kernels behind one header with three backends:
- *
- *  - generic: portable scalar C++, the *reference* implementation —
- *    every other backend is pinned bit-identical to it by the
- *    differential suite in tests/net/test_simd.cc;
- *  - sse42:   128-bit vectors (SSE4.1/SSE4.2 instructions);
- *  - avx2:    256-bit vectors.
- *
- * The backend is selected once at runtime by CPUID, overridable with
- * the PB_SIMD environment variable (generic|sse42|avx2; an
- * unsupported request warns and falls back to the best available
- * backend, so a forced CI leg is safe on any host).  Callers obtain
- * the resolved function table with kernels(); benchmarks and
- * differential tests can address any supported backend directly with
- * backendTable().
- *
- * Batch kernels take structure-of-arrays inputs (plain uint32_t
- * lanes) rather than net::FiveTuple so this library sits below
- * pb_net and pb_sim in the link graph: pb_net wraps the AoS->SoA
- * conversion (net::hashPacketBatch), pb_sim routes Memory::reset()
- * dirty-extent clearing through clearBytes.
+ * Every host kernel (checksum, flow hash, address scrambler, memory
+ * clear) has one scalar implementation in the module that owns it,
+ * so the backend is always "generic".  The header exists so that
+ * benchmark provenance keeps its "simd_backend" field (see "Host
+ * kernels are scalar" in docs/PERFORMANCE.md).
  */
 
 #ifndef PB_NET_SIMD_KERNELS_HH
 #define PB_NET_SIMD_KERNELS_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace pb::net::simd
 {
 
-/** Kernel backend, in increasing order of vector width. */
+/** Host-kernel backend: only the portable scalar one exists. */
 enum class Backend : uint8_t
 {
-    Generic = 0,
-    Sse42 = 1,
-    Avx2 = 2,
+    Generic,
 };
 
-constexpr unsigned numBackends = 3;
-
-/** Stable lower-case name ("generic", "sse42", "avx2"). */
-std::string_view backendName(Backend backend);
-
-/** Parse a backend name (as accepted in PB_SIMD). */
-std::optional<Backend> parseBackendName(std::string_view name);
-
-/**
- * One backend's kernel set.  All entries are non-null for every
- * supported backend, and every entry computes bit-identical results
- * to the Generic table's entry on every input.
- */
-struct KernelTable
+/** Stable lower-case name ("generic"). */
+inline std::string_view
+backendName(Backend)
 {
-    /**
-     * RFC 1071 Internet checksum over @p len bytes of big-endian
-     * 16-bit words (odd trailing byte zero-padded), fully folded and
-     * complemented — the value net::inetChecksum returns.
-     */
-    uint16_t (*checksum)(const uint8_t *data, unsigned len);
+    return "generic";
+}
 
-    /**
-     * Checksum @p n buffers in one call: out[i] =
-     * checksum(data[i], len[i]).  The batched form the dispatcher
-     * and benches use; lets a backend pipeline independent headers.
-     */
-    void (*checksumBatch)(const uint8_t *const *data,
-                          const unsigned *len, uint16_t *out,
-                          unsigned n);
-
-    /**
-     * The dispatcher's 5-tuple flow hash over SoA lanes:
-     * out[i] = mix32(mix32(src[i], dst[i]), mix32(ports[i],
-     * proto[i])) — bit-identical to net::flowHash with ports packed
-     * as (srcPort << 16) | dstPort.
-     */
-    void (*flowHashBatch)(const uint32_t *src, const uint32_t *dst,
-                          const uint32_t *ports,
-                          const uint32_t *proto, uint32_t *out,
-                          unsigned n);
-
-    /**
-     * Feistel scrambler: out[i] = AddressScrambler(key).scramble
-     * (in[i]) for @p rounds rounds (net/scramble.hh documents the
-     * network).  In-place (out == in) is allowed.
-     */
-    void (*feistelBatch)(const uint32_t *in, uint32_t *out,
-                         unsigned n, uint32_t key, unsigned rounds);
-
-    /** Zero @p len bytes at @p p (packet-memory clear). */
-    void (*clearBytes)(uint8_t *p, size_t len);
-};
-
-/** Is @p backend runnable on this host? Generic always is. */
-bool backendSupported(Backend backend);
-
-/** Best backend this host supports (ignores PB_SIMD). */
-Backend bestSupportedBackend();
-
-/**
- * The backend serving this process: the best supported one, unless
- * PB_SIMD forces another.  Resolved once, logged once.
- */
-Backend activeBackend();
-
-/**
- * Kernel table of @p backend.  fatal() when the backend is not
- * supported on this host — check backendSupported() first when
- * iterating (benches, differential tests).
- */
-const KernelTable &backendTable(Backend backend);
-
-/** Kernel table of activeBackend(). */
-const KernelTable &kernels();
-
-namespace detail
+/** The backend serving this process. */
+inline Backend
+activeBackend()
 {
-
-/** Resolve PB_SIMD against what the host supports (testable core). */
-Backend resolveBackend(const char *env_value, Backend best);
-
-} // namespace detail
+    return Backend::Generic;
+}
 
 } // namespace pb::net::simd
 

@@ -272,9 +272,6 @@ constexpr HelpRow helpTable[] = {
     {"pb.faults.budget", "Packets that blew the instruction budget"},
     {"pb.faults.quarantined",
      "Faulted packets written to the quarantine trace"},
-    {"pb.sim_ns", "Wall nanoseconds spent inside the simulator"},
-    {"pb.sim_mips",
-     "Simulated MIPS (instructions per wall microsecond)"},
     {"pb.insts_per_packet",
      "Per-packet instruction counts (paper Table 2)"},
     {"pb.unique_insts_per_packet",
@@ -282,7 +279,9 @@ constexpr HelpRow helpTable[] = {
     {"pb.cycles_per_packet", "Modeled pipeline cycles per packet"},
     {"pb.program_bytes", "Loaded NPE32 program size in bytes"},
     {"pb.static_blocks", "Static basic blocks in the loaded program"},
-    {"sim.interp.mips", "Interpreter throughput in simulated MIPS"},
+    {"sim.interp.run_ns", "Wall nanoseconds spent inside Cpu::run"},
+    {"sim.interp.mips",
+     "Simulated MIPS (instructions per wall microsecond)"},
     {"sim.interp.blocks", "Distinct basic blocks executed"},
     {"sim.interp.block_len", "Mean executed basic-block length"},
     {"mc.packets", "Packets dispatched across all engines"},

@@ -13,7 +13,7 @@
  * Conventions:
  *  - names are dotted paths ("pb.packets", "uarch.icache.misses"),
  *  - wall-clock phase timers are counters in nanoseconds with a
- *    "_ns" suffix ("phase.simulate_ns"),
+ *    "_ns" suffix ("phase.trace_read_ns"),
  *  - a metric's kind is fixed at first registration; re-registering
  *    the same name with a different kind is a panic.
  *

@@ -18,7 +18,7 @@
  *       ...caller-provided extra string pairs (app, trace, config)
  *     },
  *     "counters":   { "pb.packets": 1000, ... },
- *     "gauges":     { "pb.sim_mips": 112.4, ... },
+ *     "gauges":     { "sim.interp.mips": 112.4, ... },
  *     "histograms": {
  *       "pb.insts_per_packet": {
  *         "count": 1000, "sum": 204000, "min": 150, "max": 5100,

@@ -141,7 +141,7 @@ PacketBenchd::run(TraceReplayer::SourceFactory source_factory)
     replayer.start();
     IngestSource source(ring, "ingest");
     try {
-        res.mc = mc.run(source, UINT32_MAX);
+        res.mc = mc.run(source, UINT64_MAX);
     } catch (...) {
         // An engine failed: release the producer (push() observes
         // the closed ring) and the reporter before rethrowing, so

@@ -20,16 +20,6 @@
 #include "sim/accounting.hh"
 #include "sim/memmap.hh"
 
-/**
- * Token-threaded dispatch needs the GNU labels-as-values extension
- * (GCC and Clang).  Elsewhere the no-observer configuration runs the
- * portable switch-based loop instead — same semantics, one shared
- * dispatch branch.
- */
-#if defined(__GNUC__) || defined(__clang__)
-#define PB_THREADED_DISPATCH 1
-#endif
-
 namespace pb::sim
 {
 
@@ -190,12 +180,8 @@ Cpu::runSlice(uint32_t entry, uint64_t max_insts)
         return runBlocked(entry, max_insts, recObs);
     if (obs)
         return runBlocked(entry, max_insts, obs);
-#ifdef PB_THREADED_DISPATCH
-    return runThreadedUntracked(entry, max_insts);
-#else
     NoObs none;
     return runBlocked(entry, max_insts, &none);
-#endif
 }
 
 /**
@@ -599,420 +585,6 @@ Cpu::runBlocked(uint32_t entry, uint64_t max_insts, ObsT *o)
         // left it; loop around to re-validate it.
     }
 }
-
-#ifdef PB_THREADED_DISPATCH
-
-/**
- * The no-observer block-stepped loop with token-threaded dispatch.
- * Block structure and semantics are identical to runBlocked<NoObs> —
- * same hoisted checks in the same order, same budget clip, same
- * undecodable-word handling, same pc elision — but every opcode body
- * ends in its own computed goto instead of funnelling through one
- * switch.  The indirect branch predictor then keys each prediction on
- * the *current* opcode's dispatch site, which captures opcode-pair
- * correlations a single shared dispatch branch cannot.  This is the
- * dominant remaining per-instruction cost once observer notifications
- * compile out, so only the no-observer configuration takes this path.
- */
-RunResult
-Cpu::runThreadedUntracked(uint32_t entry, uint64_t max_insts)
-{
-    if (decoded.empty())
-        fatal("Cpu::run called with no program loaded");
-
-    // One dispatch-target slot per opcode byte value 0x00..0x50
-    // (Op::SYS); gaps — undefined encodings and Op::INVALID — can
-    // never be dispatched (isa::decode maps unknown words to INVALID
-    // and INVALID is hoisted out of runs), but point at a defensive
-    // fault label anyway.
-#define PB_UNDEF &&do_undef,
-    static const void *const tbl[0x51] = {
-        PB_UNDEF                                          // 0x00
-        &&do_add, &&do_sub, &&do_and, &&do_or, &&do_xor,  // 0x01-0x05
-        &&do_sll, &&do_srl, &&do_sra, &&do_mul,           // 0x06-0x09
-        &&do_slt, &&do_sltu,                              // 0x0a-0x0b
-        PB_UNDEF PB_UNDEF PB_UNDEF PB_UNDEF               // 0x0c-0x0f
-        &&do_addi, &&do_andi, &&do_ori, &&do_xori,        // 0x10-0x13
-        &&do_slli, &&do_srli, &&do_srai,                  // 0x14-0x16
-        &&do_slti, &&do_sltiu, &&do_lui,                  // 0x17-0x19
-        PB_UNDEF PB_UNDEF PB_UNDEF                        // 0x1a-0x1c
-        PB_UNDEF PB_UNDEF PB_UNDEF                        // 0x1d-0x1f
-        &&do_lw, &&do_lh, &&do_lhu, &&do_lb, &&do_lbu,    // 0x20-0x24
-        &&do_sw, &&do_sh, &&do_sb,                        // 0x25-0x27
-        PB_UNDEF PB_UNDEF PB_UNDEF PB_UNDEF               // 0x28-0x2b
-        PB_UNDEF PB_UNDEF PB_UNDEF PB_UNDEF               // 0x2c-0x2f
-        &&do_beq, &&do_bne, &&do_blt, &&do_bge,           // 0x30-0x33
-        &&do_bltu, &&do_bgeu,                             // 0x34-0x35
-        PB_UNDEF PB_UNDEF PB_UNDEF PB_UNDEF PB_UNDEF      // 0x36-0x3a
-        PB_UNDEF PB_UNDEF PB_UNDEF PB_UNDEF PB_UNDEF      // 0x3b-0x3f
-        &&do_j, &&do_jal, &&do_jr, &&do_jalr,             // 0x40-0x43
-        PB_UNDEF PB_UNDEF PB_UNDEF PB_UNDEF PB_UNDEF      // 0x44-0x48
-        PB_UNDEF PB_UNDEF PB_UNDEF PB_UNDEF PB_UNDEF      // 0x49-0x4d
-        PB_UNDEF PB_UNDEF                                 // 0x4e-0x4f
-        &&do_sys,                                         // 0x50
-    };
-#undef PB_UNDEF
-
-// Advance to the next instruction of the run and dispatch it, or
-// close the run out when the straight-line prefix is exhausted.
-#define PB_NEXT()                                                     \
-    do {                                                              \
-        if (++ip == stop)                                             \
-            goto block_done;                                          \
-        goto *tbl[static_cast<uint8_t>(ip->op)];                      \
-    } while (0)
-
-// Address of the instruction `ip` points at (the elided pc).
-#define PB_IPC()                                                      \
-    (base + (static_cast<uint32_t>(ip - insts) << 2))
-
-    const uint32_t base = prog.baseAddr;
-    const uint32_t text_len = prog.endAddr() - base;
-    const Inst *const insts = decoded.data();
-    const uint32_t *const lens = runLen.data();
-    const uint32_t *const r = regs;
-    uint32_t pc = entry;
-    uint64_t count = 0;
-    uint64_t blocks = 0;
-    const Inst *blockstart = nullptr;
-    const Inst *ip = nullptr;
-    const Inst *stop = nullptr;
-    bool ends_invalid = false;
-    uint32_t pc_redirect = 0;
-    bool redirected = false;
-
-next_block:
-    {
-        // Same checks, same order, as the reference loop applies
-        // before each instruction (see runBlocked for the argument
-        // that once per run is equivalent).
-        const uint32_t pcoff = pc - base;
-        if (pcoff >= text_len) {
-            throw MemoryError(strprintf(
-                "instruction fetch outside program: pc=0x%x", pc));
-        }
-        if (pcoff & 3) {
-            throw AlignmentError(
-                strprintf("misaligned instruction fetch: pc=0x%x", pc));
-        }
-        if (count >= max_insts) {
-            lifetimeInsts += count;
-            lifetimeBlocks += blocks;
-            RunResult result{isa::SysCode::Done, reg(isa::regA1),
-                             count};
-            result.hitBudget = true;
-            result.nextPc = pc;
-            return result;
-        }
-
-        const uint32_t slot = pcoff / 4;
-        uint64_t n = lens[slot];
-        if (n > max_insts - count)
-            n = max_insts - count; // budget expires mid-run
-        blocks++;
-
-        blockstart = insts + slot;
-        ip = blockstart;
-        stop = ip + n;
-        ends_invalid = stop[-1].op == Op::INVALID;
-        if (ends_invalid)
-            stop--;
-    }
-    redirected = false;
-    if (ip == stop) // the run is a lone undecodable word
-        goto block_done;
-    goto *tbl[static_cast<uint8_t>(ip->op)];
-
-do_add: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] + r[inst.rt]);
-    PB_NEXT();
-}
-do_sub: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] - r[inst.rt]);
-    PB_NEXT();
-}
-do_and: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] & r[inst.rt]);
-    PB_NEXT();
-}
-do_or: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] | r[inst.rt]);
-    PB_NEXT();
-}
-do_xor: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] ^ r[inst.rt]);
-    PB_NEXT();
-}
-do_sll: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] << (r[inst.rt] & 31));
-    PB_NEXT();
-}
-do_srl: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] >> (r[inst.rt] & 31));
-    PB_NEXT();
-}
-do_sra: {
-    const Inst &inst = *ip;
-    setReg(inst.rd,
-           static_cast<uint32_t>(static_cast<int32_t>(r[inst.rs]) >>
-                                 (r[inst.rt] & 31)));
-    PB_NEXT();
-}
-do_mul: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] * r[inst.rt]);
-    PB_NEXT();
-}
-do_slt: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, static_cast<int32_t>(r[inst.rs]) <
-                            static_cast<int32_t>(r[inst.rt])
-                        ? 1
-                        : 0);
-    PB_NEXT();
-}
-do_sltu: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] < r[inst.rt] ? 1 : 0);
-    PB_NEXT();
-}
-
-do_addi: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] + static_cast<uint32_t>(inst.imm));
-    PB_NEXT();
-}
-do_andi: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] & static_cast<uint32_t>(inst.imm));
-    PB_NEXT();
-}
-do_ori: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] | static_cast<uint32_t>(inst.imm));
-    PB_NEXT();
-}
-do_xori: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] ^ static_cast<uint32_t>(inst.imm));
-    PB_NEXT();
-}
-do_slli: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] << (inst.imm & 31));
-    PB_NEXT();
-}
-do_srli: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, r[inst.rs] >> (inst.imm & 31));
-    PB_NEXT();
-}
-do_srai: {
-    const Inst &inst = *ip;
-    setReg(inst.rd,
-           static_cast<uint32_t>(static_cast<int32_t>(r[inst.rs]) >>
-                                 (inst.imm & 31)));
-    PB_NEXT();
-}
-do_slti: {
-    const Inst &inst = *ip;
-    setReg(inst.rd,
-           static_cast<int32_t>(r[inst.rs]) < inst.imm ? 1 : 0);
-    PB_NEXT();
-}
-do_sltiu: {
-    const Inst &inst = *ip;
-    setReg(inst.rd,
-           r[inst.rs] < static_cast<uint32_t>(inst.imm) ? 1 : 0);
-    PB_NEXT();
-}
-do_lui: {
-    const Inst &inst = *ip;
-    setReg(inst.rd, static_cast<uint32_t>(inst.imm) << 16);
-    PB_NEXT();
-}
-
-do_lw: {
-    const Inst &inst = *ip;
-    setReg(inst.rd,
-           mem.read32(r[inst.rs] + static_cast<uint32_t>(inst.imm)));
-    PB_NEXT();
-}
-do_lh: {
-    const Inst &inst = *ip;
-    setReg(inst.rd,
-           static_cast<uint32_t>(sext(
-               mem.read16(r[inst.rs] + static_cast<uint32_t>(inst.imm)),
-               16)));
-    PB_NEXT();
-}
-do_lhu: {
-    const Inst &inst = *ip;
-    setReg(inst.rd,
-           mem.read16(r[inst.rs] + static_cast<uint32_t>(inst.imm)));
-    PB_NEXT();
-}
-do_lb: {
-    const Inst &inst = *ip;
-    setReg(inst.rd,
-           static_cast<uint32_t>(sext(
-               mem.read8(r[inst.rs] + static_cast<uint32_t>(inst.imm)),
-               8)));
-    PB_NEXT();
-}
-do_lbu: {
-    const Inst &inst = *ip;
-    setReg(inst.rd,
-           mem.read8(r[inst.rs] + static_cast<uint32_t>(inst.imm)));
-    PB_NEXT();
-}
-
-do_sw: {
-    const Inst &inst = *ip;
-    mem.write32(r[inst.rs] + static_cast<uint32_t>(inst.imm),
-                r[inst.rd]);
-    PB_NEXT();
-}
-do_sh: {
-    const Inst &inst = *ip;
-    mem.write16(r[inst.rs] + static_cast<uint32_t>(inst.imm),
-                static_cast<uint16_t>(r[inst.rd]));
-    PB_NEXT();
-}
-do_sb: {
-    const Inst &inst = *ip;
-    mem.write8(r[inst.rs] + static_cast<uint32_t>(inst.imm),
-               static_cast<uint8_t>(r[inst.rd]));
-    PB_NEXT();
-}
-
-do_beq: {
-    const Inst &inst = *ip;
-    if (r[inst.rs] == r[inst.rt]) {
-        pc_redirect =
-            PB_IPC() + 4 + static_cast<uint32_t>(inst.imm) * 4;
-        redirected = true;
-    }
-    PB_NEXT();
-}
-do_bne: {
-    const Inst &inst = *ip;
-    if (r[inst.rs] != r[inst.rt]) {
-        pc_redirect =
-            PB_IPC() + 4 + static_cast<uint32_t>(inst.imm) * 4;
-        redirected = true;
-    }
-    PB_NEXT();
-}
-do_blt: {
-    const Inst &inst = *ip;
-    if (static_cast<int32_t>(r[inst.rs]) <
-        static_cast<int32_t>(r[inst.rt])) {
-        pc_redirect =
-            PB_IPC() + 4 + static_cast<uint32_t>(inst.imm) * 4;
-        redirected = true;
-    }
-    PB_NEXT();
-}
-do_bge: {
-    const Inst &inst = *ip;
-    if (static_cast<int32_t>(r[inst.rs]) >=
-        static_cast<int32_t>(r[inst.rt])) {
-        pc_redirect =
-            PB_IPC() + 4 + static_cast<uint32_t>(inst.imm) * 4;
-        redirected = true;
-    }
-    PB_NEXT();
-}
-do_bltu: {
-    const Inst &inst = *ip;
-    if (r[inst.rs] < r[inst.rt]) {
-        pc_redirect =
-            PB_IPC() + 4 + static_cast<uint32_t>(inst.imm) * 4;
-        redirected = true;
-    }
-    PB_NEXT();
-}
-do_bgeu: {
-    const Inst &inst = *ip;
-    if (r[inst.rs] >= r[inst.rt]) {
-        pc_redirect =
-            PB_IPC() + 4 + static_cast<uint32_t>(inst.imm) * 4;
-        redirected = true;
-    }
-    PB_NEXT();
-}
-
-do_j: {
-    const Inst &inst = *ip;
-    pc_redirect = PB_IPC() + 4 + static_cast<uint32_t>(inst.imm) * 4;
-    redirected = true;
-    PB_NEXT();
-}
-do_jal: {
-    const Inst &inst = *ip;
-    const uint32_t at = PB_IPC();
-    setReg(isa::regLr, at + 4);
-    pc_redirect = at + 4 + static_cast<uint32_t>(inst.imm) * 4;
-    redirected = true;
-    PB_NEXT();
-}
-do_jr: {
-    const Inst &inst = *ip;
-    pc_redirect = r[inst.rs];
-    redirected = true;
-    PB_NEXT();
-}
-do_jalr: {
-    const Inst &inst = *ip;
-    // rd may alias rs: the jump target is the pre-link rs value.
-    pc_redirect = r[inst.rs];
-    redirected = true;
-    setReg(inst.rd, PB_IPC() + 4);
-    PB_NEXT();
-}
-
-do_sys: {
-    const Inst &inst = *ip;
-    const uint64_t executed =
-        count + static_cast<uint64_t>(ip - blockstart) + 1;
-    lifetimeInsts += executed;
-    lifetimeBlocks += blocks;
-    return {static_cast<isa::SysCode>(inst.imm), reg(isa::regA1),
-            executed};
-}
-
-do_undef:
-    // Unreachable: decode() maps every undefined encoding to
-    // Op::INVALID, which run setup hoists out of dispatch.
-    throw DecodeError(strprintf(
-        "undecodable instruction word at pc=0x%x", PB_IPC()));
-
-block_done:
-    count += static_cast<uint64_t>(stop - blockstart);
-    pc = redirected
-             ? pc_redirect
-             : base + (static_cast<uint32_t>(stop - insts) << 2);
-    if (ends_invalid) {
-        // pc advanced through the straight-line prefix and now sits
-        // on the undecodable slot.
-        throw DecodeError(strprintf(
-            "undecodable instruction word at pc=0x%x", pc));
-    }
-    goto next_block;
-
-#undef PB_NEXT
-#undef PB_IPC
-}
-
-#endif // PB_THREADED_DISPATCH
 
 RunResult
 Cpu::runSliceRef(uint32_t entry, uint64_t max_insts)

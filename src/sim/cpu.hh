@@ -239,15 +239,6 @@ class Cpu
     RunResult runBlocked(uint32_t entry, uint64_t max_insts,
                          ObsT *o);
 
-    /**
-     * The no-observer block-stepped loop with token-threaded dispatch
-     * (GNU computed goto).  Defined and used only on compilers with
-     * the labels-as-values extension; elsewhere runSlice falls back to
-     * runBlocked over the no-op observer.
-     */
-    RunResult runThreadedUntracked(uint32_t entry,
-                                   uint64_t max_insts);
-
     /** Resolve + read for a load; region reported for the observer. */
     uint32_t loadValue(const isa::Inst &inst, uint32_t &addr,
                        uint8_t &size, MemRegion &region);

@@ -10,8 +10,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "net/simd/kernels.hh"
-
 namespace pb::sim
 {
 
@@ -86,23 +84,17 @@ Memory::fill(uint32_t addr, uint32_t len, uint8_t value)
 {
     if (len == 0)
         return;
-    uint8_t *p = writable(addr, len).ptr;
-    if (value == 0)
-        net::simd::kernels().clearBytes(p, len);
-    else
-        std::memset(p, value, len);
+    std::memset(writable(addr, len).ptr, value, len);
 }
 
 void
 Memory::reset()
 {
-    // Per-packet clear of whatever the last run dirtied — one of the
-    // host hot loops, served by the dispatched SIMD clear kernel.
-    const auto &kern = net::simd::kernels();
+    // Re-zero only what was written since the last reset.
     for (unsigned r = 0; r < layout::numRegions; r++) {
         if (dirtyLo[r] < dirtyHi[r])
-            kern.clearBytes(store[r].data() + dirtyLo[r],
-                            dirtyHi[r] - dirtyLo[r]);
+            std::memset(store[r].data() + dirtyLo[r], 0,
+                        dirtyHi[r] - dirtyLo[r]);
         dirtyLo[r] = layout::regionSize[r];
         dirtyHi[r] = 0;
     }

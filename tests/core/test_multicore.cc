@@ -575,4 +575,20 @@ TEST(MultiCore, SingleEngineDegeneratesToPacketBench)
     EXPECT_DOUBLE_EQ(result.speedup(), 1.0);
 }
 
+TEST(MultiCore, PacketBoundAbove32BitsIsNotTruncated)
+{
+    // packetbenchd passes the widest bound; truncated to 32 bits,
+    // 2^32 + 4 would become 4 and a looped service would stop early.
+    const uint64_t bound = (uint64_t{1} << 32) + 4;
+    for (bool parallel : {false, true}) {
+        BenchConfig cfg;
+        cfg.parallel = parallel;
+        MultiCoreBench cores(flowFactory(64), 2, cfg);
+        SyntheticTrace trace(Profile::LAN, 10, 1);
+        MultiCoreResult result = cores.run(trace, bound);
+        EXPECT_EQ(result.totalPackets, 10u)
+            << (parallel ? "parallel" : "serial");
+    }
+}
+
 } // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/rng.hh"
 #include "net/ipv4.hh"
 
@@ -67,6 +70,36 @@ TEST(Ipv4, ChecksumOddLength)
     uint8_t data[3] = {0x12, 0x34, 0x56};
     // 0x1234 + 0x5600 = 0x6834 -> ~ = 0x97cb.
     EXPECT_EQ(inetChecksum(data, 3), 0x97cb);
+}
+
+/** RFC 1071 by definition: end-around carry after every word. */
+uint16_t
+naiveChecksum(const std::vector<uint8_t> &buf)
+{
+    uint32_t sum = 0;
+    for (size_t i = 0; i < buf.size(); i += 2) {
+        uint32_t word = static_cast<uint32_t>(buf[i]) << 8;
+        if (i + 1 < buf.size())
+            word |= buf[i + 1];
+        sum += word;
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    return static_cast<uint16_t>(~sum);
+}
+
+TEST(Ipv4, ChecksumLargeAllOnesBufferMatchesNaiveSum)
+{
+    // Past ~2^17 bytes of 0xffff words a 32-bit accumulator wraps
+    // and silently drops carries; 2^19 + 7 bytes wraps it several
+    // times and ends on an odd byte.
+    std::vector<uint8_t> buf((1u << 19) + 7, 0xff);
+    const unsigned len = static_cast<unsigned>(buf.size());
+    EXPECT_EQ(inetChecksum(buf.data(), len), naiveChecksum(buf));
+
+    Rng rng(55);
+    for (size_t i = 0; i < buf.size(); i += 97)
+        buf[i] = static_cast<uint8_t>(rng.below(256));
+    EXPECT_EQ(inetChecksum(buf.data(), len), naiveChecksum(buf));
 }
 
 TEST(Ipv4, FillVerifyProperty)
@@ -264,6 +297,56 @@ TEST(Ipv4, HashPacketBatchEmptyAndSingle)
     FiveTuple tuple;
     ASSERT_TRUE(parseFiveTuple(packet, tuple));
     EXPECT_EQ(hash, flowHash(tuple));
+}
+
+TEST(Ipv4, HashPacketBatchMatchesScalarParsePath)
+{
+    // hashPacketBatch must agree lane for lane with parseFiveTuple +
+    // flowHash, with invalid lanes interleaved at every position (the
+    // dispatcher depends on this for serial/parallel bit-identity).
+    Rng rng(505);
+    std::vector<Packet> packets;
+    for (unsigned i = 0; i < 37; i++) {
+        FiveTuple tuple;
+        tuple.src = rng.next();
+        tuple.dst = rng.next();
+        tuple.srcPort = static_cast<uint16_t>(rng.next());
+        tuple.dstPort = static_cast<uint16_t>(rng.next());
+        tuple.proto = static_cast<uint8_t>(
+            (i % 3) ? IpProto::Tcp : IpProto::Udp);
+        Packet packet;
+        packet.bytes = buildIpv4Packet(tuple, 40);
+        switch (i % 5) {
+          case 0: // runt: too short for any header
+            packet.bytes.resize(8);
+            break;
+          case 1: // wrong version
+            packet.bytes[0] = 0x65;
+            break;
+          case 2: // non-first fragment: ports must not be read
+            storeBe16(packet.bytes.data() + ipv4::offFlagsFrag,
+                      0x2000 | 5);
+            break;
+          default:
+            break;
+        }
+        packets.push_back(std::move(packet));
+    }
+    const unsigned n = static_cast<unsigned>(packets.size());
+    std::vector<const Packet *> ptrs;
+    for (const auto &packet : packets)
+        ptrs.push_back(&packet);
+    std::vector<uint32_t> hash(n);
+    auto valid = std::make_unique<bool[]>(n);
+    hashPacketBatch(ptrs.data(), n, hash.data(), valid.get());
+    for (unsigned i = 0; i < n; i++) {
+        FiveTuple tuple;
+        bool want_valid = parseFiveTuple(packets[i], tuple);
+        EXPECT_EQ(valid[i], want_valid) << i;
+        if (want_valid) {
+            EXPECT_EQ(hash[i], flowHash(tuple)) << i;
+        }
+    }
 }
 
 } // namespace

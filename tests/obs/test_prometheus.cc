@@ -31,14 +31,14 @@ TEST(Prometheus, CountersAndGauges)
 {
     Registry reg;
     reg.counter("pb.faults.total").add(3);
-    reg.gauge("pb.sim_mips").set(112.5);
+    reg.gauge("sim.interp.mips").set(112.5);
 
     std::string text = expose(reg);
     EXPECT_NE(text.find("# TYPE pb_faults_total counter\n"
                         "pb_faults_total 3\n"),
               std::string::npos);
-    EXPECT_NE(text.find("# TYPE pb_sim_mips gauge\n"
-                        "pb_sim_mips 112.5\n"),
+    EXPECT_NE(text.find("# TYPE sim_interp_mips gauge\n"
+                        "sim_interp_mips 112.5\n"),
               std::string::npos);
 }
 

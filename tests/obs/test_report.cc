@@ -91,12 +91,12 @@ TEST(RunReport, CarriesAtLeastTenDistinctMetrics)
     const JsonValue &counters = doc.at("counters");
     for (const char *name :
          {"pb.packets", "pb.insts", "pb.sent", "pb.dropped",
-          "phase.simulate_ns", "trace.packets_read",
+          "sim.interp.run_ns", "trace.packets_read",
           "trace.bytes_read", "phase.trace_read_ns"}) {
         EXPECT_NE(counters.find(name), nullptr)
             << "missing counter " << name;
     }
-    EXPECT_NE(doc.at("gauges").find("pb.sim_mips"), nullptr);
+    EXPECT_NE(doc.at("gauges").find("sim.interp.mips"), nullptr);
     EXPECT_NE(doc.at("histograms").find("pb.insts_per_packet"),
               nullptr);
 }

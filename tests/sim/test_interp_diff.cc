@@ -2,11 +2,11 @@
  * @file
  * Differential tests of the interpreter dispatch loops.
  *
- * The block-stepped loop (and its threaded no-observer variant) must
- * be bit-identical to the per-instruction reference loop: same
- * RunResult, same registers, same per-packet statistics, same
- * observer event stream, and — for every fault class — the same
- * exception type, message, and architectural state at the throw.
+ * The block-stepped loop must be bit-identical to the per-instruction
+ * reference loop: same RunResult, same registers, same per-packet
+ * statistics, same observer event stream, and — for every fault
+ * class — the same exception type, message, and architectural state
+ * at the throw.
  * These tests pin that equivalence down both on the real workload
  * programs (every application, hundreds of synthetic packets) and on
  * a hand-built fault matrix.

@@ -83,6 +83,27 @@ TEST(Memory, FillAndReset)
     EXPECT_EQ(mem.read8(dataBase + 15), 0x00);
 }
 
+TEST(Memory, FillZeroClearsExactlyItsRange)
+{
+    // Canary bytes on both sides of the cleared window must survive
+    // every length and offset combination.
+    Memory mem;
+    for (uint32_t len : {0u, 1u, 15u, 16u, 17u, 31u, 32u, 63u, 64u,
+                         65u, 127u, 128u, 129u, 1000u}) {
+        for (uint32_t offset : {0u, 1u, 7u}) {
+            const uint32_t span = offset + len + 8;
+            mem.fill(dataBase, span, 0xab);
+            mem.fill(dataBase + offset, len);
+            for (uint32_t i = 0; i < span; i++) {
+                bool cleared = i >= offset && i < offset + len;
+                EXPECT_EQ(mem.read8(dataBase + i), cleared ? 0 : 0xab)
+                    << "len " << len << " offset " << offset
+                    << " byte " << i;
+            }
+        }
+    }
+}
+
 TEST(Memory, UnmappedAccessThrows)
 {
     Memory mem;
