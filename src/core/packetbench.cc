@@ -5,6 +5,7 @@
 
 #include "packetbench.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -443,7 +444,6 @@ PacketBench::run(net::TraceSource &source, uint32_t max_packets,
 {
     using clock = std::chrono::steady_clock;
     std::vector<PacketOutcome> outcomes;
-    outcomes.reserve(max_packets);
     auto run_start = clock::now();
     auto beat_at = run_start;
     uint64_t run_start_packets = packetCount;
@@ -457,6 +457,13 @@ PacketBench::run(net::TraceSource &source, uint32_t max_packets,
         auto packet = source.next();
         if (!packet)
             break;
+        // Storage follows the packets the source produces, never past
+        // the bound, which may be far above what the source holds
+        // (UINT32_MAX runs a trace to its end).
+        if (outcomes.size() == outcomes.capacity()) {
+            outcomes.reserve(std::min<size_t>(
+                max_packets, 2 * outcomes.size() + 8192));
+        }
         outcomes.push_back(processPacket(*packet));
         if (sink && outcomes.back().verdict == isa::SysCode::Send)
             sink->write(*packet);

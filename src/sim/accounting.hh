@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -69,6 +70,10 @@ struct PacketStats
     std::vector<TracedAccess> memTrace;
 };
 
+/** Number of MemRegion values, Unmapped included. */
+constexpr size_t numMemRegions =
+    static_cast<size_t>(MemRegion::Unmapped) + 1;
+
 /** Number of InstClass values tracked in the mix histogram. */
 constexpr size_t numInstClasses =
     static_cast<size_t>(isa::InstClass::Invalid) + 1;
@@ -76,6 +81,18 @@ constexpr size_t numInstClasses =
 /**
  * ExecObserver that produces PacketStats per packet plus run-level
  * aggregates (memory coverage, instruction mix).
+ *
+ * It is charged in one of two ways, with identical results:
+ *
+ *  - per instruction, through the virtual ExecObserver hooks (the
+ *    reference loop, and any run where it shares the CPU with other
+ *    observers);
+ *  - per straight-line run, through the non-virtual onRun() and
+ *    onMemAccessAt(), when the block-stepped loop drives it as the
+ *    CPU's only sink.  The CPU describes each run from its own
+ *    decode, so the recorder needs no copy of the run structure.
+ *    Only the address-dependent work — region counters and touch
+ *    maps — stays per memory access.
  */
 class PacketRecorder final : public ExecObserver
 {
@@ -89,81 +106,60 @@ class PacketRecorder final : public ExecObserver
     /** Finish the current packet and return its statistics. */
     PacketStats endPacket();
 
-    // Defined inline: the CPU's block-stepped loop instantiates a
-    // devirtualized template over the recorder, and these two are its
-    // per-event hot path.
-    void
-    onInst(uint32_t addr, const isa::Inst &inst) override
-    {
-        current.instCount++;
-        totalInsts_++;
-        classCounts_[static_cast<size_t>(isa::opInfo(inst.op).cls)]++;
-
-        uint32_t word = (addr - progBase) / 4;
-        if (word < progWords && wordEpoch[word] != epoch) {
-            wordEpoch[word] = epoch;
-            current.uniqueInstCount++;
-            // A word's first-ever execution is always also its first
-            // execution within some packet, so the run-level
-            // instruction footprint only needs checking on the
-            // per-packet-unique path; the per-instruction hot path
-            // pays nothing for it.
-            if (!wordTouched[word]) {
-                wordTouched[word] = true;
-                wordsTouched_++;
-            }
-            if (cfg.blockSets) {
-                uint32_t block = blockMap.blockOf(addr);
-                if (blockEpoch[block] != epoch) {
-                    blockEpoch[block] = epoch;
-                    current.blocks.push_back(block);
-                }
-            }
-        }
-        if (cfg.instTrace)
-            current.instTrace.push_back(addr);
-    }
+    void onInst(uint32_t addr, const isa::Inst &inst) override;
 
     void
     onMemAccess(const MemAccessEvent &event) override
     {
-        switch (event.region) {
-          case MemRegion::Packet:
-            if (event.isStore)
-                current.packetWrites++;
-            else
-                current.packetReads++;
-            packetTouch.mark(event.addr, event.size);
-            break;
-          case MemRegion::Data:
-            if (event.isStore)
-                current.nonPacketWrites++;
-            else
-                current.nonPacketReads++;
-            dataTouch.mark(event.addr, event.size);
-            break;
-          case MemRegion::Stack:
-            if (event.isStore)
-                current.nonPacketWrites++;
-            else
-                current.nonPacketReads++;
-            stackTouch.mark(event.addr, event.size);
-            break;
-          case MemRegion::Text:
-          case MemRegion::Unmapped:
-            // Reads of constants embedded in text count as
-            // non-packet.
-            if (event.isStore)
-                current.nonPacketWrites++;
-            else
-                current.nonPacketReads++;
-            break;
-        }
-        if (cfg.memTrace)
-            current.memTrace.push_back({current.instCount, event});
+        chargeAccess(event, current.instCount);
     }
 
     PacketRecorder *asRecorder() override { return this; }
+
+    /**
+     * @name Run-granular hot path (block-stepped loop only).
+     * Defined inline so the devirtualized loop inlines them; the
+     * rarer work is out of line.
+     * @{
+     */
+    /**
+     * The first @p n instructions of a straight-line run have
+     * executed: the whole run, or the prefix of a clipped or faulted
+     * one.  @p run points at the CPU's decode of program slot
+     * @p slot, and the run is @p len slots long, its terminator
+     * included.  Charged after the run, so it covers every
+     * instruction that reached execution, including one whose memory
+     * access faulted; n is 0 for a run whose only slot is
+     * undecodable.
+     */
+    void
+    onRun(const isa::Inst *run, uint32_t slot, uint32_t len, uint32_t n)
+    {
+        current.instCount += n;
+        totalInsts_ += n;
+        if (n == len && slot + len <= progWords) {
+            RunHead &head = heads[slot];
+            if (head.runs++ == 0)
+                learnRun(run, slot, len);
+            if (head.epoch != epoch)
+                coverRun(slot);
+        } else {
+            chargePrefix(run, slot, n);
+        }
+        if (cfg.instTrace)
+            traceRun(slot, n);
+    }
+
+    /**
+     * Data access by the instruction @p offsetInRun slots into the
+     * run that the next onRun() call charges.
+     */
+    void
+    onMemAccessAt(const MemAccessEvent &event, uint32_t offsetInRun)
+    {
+        chargeAccess(event, current.instCount + offsetInRun + 1);
+    }
+    /** @} */
 
     /**
      * @name Run-level aggregates (across all packets so far).
@@ -174,11 +170,7 @@ class PacketRecorder final : public ExecObserver
     /** Bytes of data memory touched (paper Table IV col 2). */
     uint64_t dataMemoryBytes() const;
     /** Executed-instruction histogram by class. */
-    const std::array<uint64_t, numInstClasses> &
-    classCounts() const
-    {
-        return classCounts_;
-    }
+    std::array<uint64_t, numInstClasses> classCounts() const;
     /** Total instructions across all packets. */
     uint64_t totalInsts() const { return totalInsts_; }
     /** @} */
@@ -188,54 +180,134 @@ class PacketRecorder final : public ExecObserver
     struct TouchMap
     {
         uint32_t base = 0;
-        std::vector<bool> touched;
+        uint32_t size = 0;          ///< 0 for an untracked region
+        std::vector<uint64_t> bits; ///< one bit per byte
         uint64_t count = 0;
 
         void
-        init(uint32_t base_addr, uint32_t size)
+        init(uint32_t base_addr, uint32_t size_)
         {
             base = base_addr;
-            touched.assign(size, false);
-            count = 0;
+            size = size_;
+            bits.assign((static_cast<size_t>(size_) + 63) / 64, 0);
         }
 
         void
         mark(uint32_t addr, uint32_t len)
         {
-            for (uint32_t i = 0; i < len; i++) {
-                uint32_t off = addr + i - base;
-                if (off < touched.size() && !touched[off]) {
-                    touched[off] = true;
-                    count++;
+            const uint32_t off = addr - base;
+            // Every access the CPU completes is a naturally aligned 1,
+            // 2 or 4-byte span inside its region: one 64-bit word.
+            if (len <= 4 && uint64_t{off} + len <= size &&
+                off % 64 + len <= 64) {
+                const uint64_t mask = ((uint64_t{1} << len) - 1)
+                                      << (off % 64);
+                uint64_t &word = bits[off / 64];
+                if ((word & mask) != mask) {
+                    count += std::popcount(mask & ~word);
+                    word |= mask;
                 }
+                return;
             }
+            markBytes(off, len);
         }
+
+        /** Byte-at-a-time mark() for any other span. */
+        void markBytes(uint32_t off, uint32_t len);
     };
+
+    /** Per-access work shared by both charging paths. */
+    void
+    chargeAccess(const MemAccessEvent &event, uint64_t instIndex)
+    {
+        const auto region = static_cast<size_t>(event.region);
+        accesses[region][event.isStore]++;
+        touch[region].mark(event.addr, event.size);
+        if (cfg.memTrace)
+            traceAccess(event, instIndex);
+    }
+
+    void traceAccess(const MemAccessEvent &event, uint64_t instIndex);
+    void traceRun(uint32_t slot, uint32_t n);
+    /** Charge executed word @p word, once per packet. */
+    void stampWord(uint32_t word);
+    /** Charge a clipped or faulted run's first @p n slots, per word. */
+    void chargePrefix(const isa::Inst *run, uint32_t slot, uint32_t n);
+    /** First whole run from @p slot ever: note its shape. */
+    void learnRun(const isa::Inst *run, uint32_t slot, uint32_t len);
+    /** First whole run from @p slot in this packet. */
+    void coverRun(uint32_t slot);
+    /** Count @p word into the run-level instruction footprint. */
+    void
+    touchWord(uint32_t word)
+    {
+        if (!wordTouched[word]) {
+            wordTouched[word] = true;
+            wordsTouched_++;
+        }
+    }
 
     const RecorderConfig cfg;
     const uint32_t progBase;
     const uint32_t progWords;
     const BlockMap &blockMap;
 
+    /**
+     * The CPU's straight-line runs, as far as whole runs have shown
+     * them (learnRun()): each slot's instruction class and the last
+     * slot of its run.  runLast[w] is w until then.
+     */
+    std::vector<isa::InstClass> slotClass;
+    std::vector<uint32_t> runLast;
+
+    /** Whole runs that start at one slot. */
+    struct RunHead
+    {
+        uint32_t epoch = 0; ///< a whole run from here was charged
+        uint64_t runs = 0;  ///< whole runs from here, for classCounts()
+    };
+    std::vector<RunHead> heads;
+
     // Per-packet epoch marking: a word (or block) is unique within the
-    // packet iff its stamp differs from the current epoch.
+    // packet iff its stamp differs from the current epoch.  A whole
+    // run [s, e] covers a suffix of its straight-line run, so the
+    // words whole runs executed are, per run-last slot e, one suffix
+    // [from, e] (RunCover); wordEpoch stamps the others one by one.
     uint32_t epoch = 0;
     std::vector<uint32_t> wordEpoch;
     std::vector<uint32_t> blockEpoch;
+    /** Suffixes of one straight-line run that whole runs covered. */
+    struct RunCover
+    {
+        uint32_t epoch = 0; ///< packet that `from` belongs to
+        uint32_t from = 0;  ///< first covered slot in that packet
+        /** Every slot from here to the run's end is in wordTouched. */
+        uint32_t everFrom = 0;
+    };
+    /** Indexed by run-last slot. */
+    std::vector<RunCover> cover;
+    /** wordEpoch may stamp words outside this packet's covers. */
+    bool wordStamps = false;
 
     /** Program words executed at least once over the whole run. */
     std::vector<bool> wordTouched;
     uint64_t wordsTouched_ = 0;
 
     PacketStats current;
+    /**
+     * This packet's data accesses by [MemRegion][isStore], folded
+     * into current's read/write counts by endPacket().
+     */
+    uint32_t accesses[numMemRegions][2] = {};
     bool inPacket = false;
 
-    // Run-level aggregates.
+    // Run-level aggregates.  The instruction mix is classCounts_
+    // (charges per instruction) plus the classes of the whole runs
+    // counted in heads.
     std::array<uint64_t, numInstClasses> classCounts_{};
     uint64_t totalInsts_ = 0;
-    TouchMap dataTouch;
-    TouchMap packetTouch;
-    TouchMap stackTouch;
+    /** Bytes touched, by MemRegion; Text and Unmapped are untracked. */
+    std::array<TouchMap, numMemRegions> touch;
 };
 
 /** Forwards the execution stream to several observers. */

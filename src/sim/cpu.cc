@@ -4,12 +4,14 @@
  *
  * Two dispatch loops share one set of memory/ALU semantics:
  * runSliceRef() is the per-instruction reference loop (debugger
- * single-step, differential-test oracle); runBlocked<HasObs>() is the
+ * single-step, differential-test oracle); runBlocked<ObsT>() is the
  * production loop, which hoists fetch-bounds, alignment, and budget
- * checks to once per straight-line run and compiles the observer
- * notifications out entirely when no observer is attached.  The two
- * are bit-identical: same RunResult, registers, memory effects,
- * observer event stream, and faults (type, message, and pc).
+ * checks to once per straight-line run, compiles the observer
+ * notifications out entirely when no observer is attached, and
+ * charges a lone accounting recorder once per run.  The two are
+ * bit-identical: same RunResult, registers, memory effects, observer
+ * event stream, recorded statistics, and faults (type, message, and
+ * pc).
  */
 
 #include "cpu.hh"
@@ -32,9 +34,7 @@ namespace
 /** Observer whose events compile to nothing (no-observer loop). */
 struct NoObs
 {
-    void onInst(uint32_t, const Inst &) {}
     void onMemAccess(const MemAccessEvent &) {}
-    void onBranch(uint32_t, bool, uint32_t) {}
 };
 
 } // namespace
@@ -196,18 +196,31 @@ Cpu::runSlice(uint32_t entry, uint64_t max_insts)
  * operand reads index the register file directly (regs[regZero] is
  * invariantly 0 because setReg never writes it).
  *
- * With no observer attached the loop additionally stops maintaining
- * the pc per instruction — only control-flow instructions need it,
- * only a run's last slot can hold one, and its address reconstructs
- * from the instruction pointer.
+ * Only a generic observer receives per-instruction events (onInst,
+ * onBranch), so only it needs the pc maintained per instruction.  The
+ * other two observer types reconstruct a control-flow instruction's
+ * address from the instruction pointer: only a run's last slot can
+ * hold one.
+ *
+ * The PacketRecorder is charged once per run (onRun), with the run's
+ * decoded slots and full length from this CPU's tables and the
+ * number of instructions that reached execution: after the run,
+ * after the executed prefix of a run whose memory access faults (the
+ * faulting instruction included, its access not), and before the
+ * SYS that ends the slice returns.  A budget-clipped run is charged
+ * its clipped length; an undecodable word ending a run never is.
+ * Each memory access goes to onMemAccessAt with its offset in the
+ * run.  The recorder ignores onBranch, so not delivering it loses
+ * nothing.
  */
 template <typename ObsT>
 RunResult
 Cpu::runBlocked(uint32_t entry, uint64_t max_insts, ObsT *o)
 {
     // Tracked mode delivers (pc, inst) events per instruction;
-    // untracked mode (NoObs) elides the pc bookkeeping.
-    constexpr bool kTracked = !std::is_same_v<ObsT, NoObs>;
+    // untracked mode elides the pc bookkeeping.
+    constexpr bool kTracked = std::is_same_v<ObsT, ExecObserver>;
+    constexpr bool kPerRun = std::is_same_v<ObsT, PacketRecorder>;
 
     if (decoded.empty())
         fatal("Cpu::run called with no program loaded");
@@ -252,8 +265,9 @@ Cpu::runBlocked(uint32_t entry, uint64_t max_insts, ObsT *o)
             n = max_insts - count; // budget expires mid-run
         blocks++;
 
-        const Inst *ip = insts + slot;
-        const Inst *stop = ip + n;
+        const Inst *const run = insts + slot;
+        const Inst *ip = run;
+        const Inst *stop = run + n;
         // An undecodable word can only occupy a run's last slot (it
         // terminates runLen), so hoist its detection out of the inner
         // loop: execute the straight-line prefix, then fault exactly
@@ -268,306 +282,326 @@ Cpu::runBlocked(uint32_t entry, uint64_t max_insts, ObsT *o)
         // run's last instruction) sent the pc, if anywhere.
         [[maybe_unused]] uint32_t pc_redirect = 0;
         [[maybe_unused]] bool redirected = false;
+        // Executed the SYS that ends the slice (a run's last slot).
+        bool halted = false;
 
-        for (; ip != stop; ++ip) {
-            const Inst &inst = *ip;
-            uint32_t next_pc = 0;
-            if constexpr (kTracked) {
-                o->onInst(pc, inst);
-                next_pc = pc + 4;
-            }
-            // Address of the current instruction, reconstructed on
-            // demand in untracked mode.
-            auto ipc = [&] {
+        try {
+            for (; ip != stop; ++ip) {
+                const Inst &inst = *ip;
+                uint32_t next_pc = 0;
+                if constexpr (kTracked) {
+                    o->onInst(pc, inst);
+                    next_pc = pc + 4;
+                }
+                // Address of the current instruction, reconstructed on
+                // demand in untracked mode.
+                auto ipc = [&] {
+                    if constexpr (kTracked)
+                        return pc;
+                    else
+                        return base +
+                               (static_cast<uint32_t>(ip - insts) << 2);
+                };
+                auto notify = [&](const MemAccessEvent &event) {
+                    if constexpr (kPerRun)
+                        o->onMemAccessAt(event,
+                                         static_cast<uint32_t>(ip - run));
+                    else
+                        o->onMemAccess(event);
+                };
+
+                const uint32_t rs = r[inst.rs];
+                const uint32_t rt = r[inst.rt];
+                const uint32_t uimm = static_cast<uint32_t>(inst.imm);
+
+                switch (inst.op) {
+                  case Op::ADD:
+                    setReg(inst.rd, rs + rt);
+                    break;
+                  case Op::SUB:
+                    setReg(inst.rd, rs - rt);
+                    break;
+                  case Op::AND:
+                    setReg(inst.rd, rs & rt);
+                    break;
+                  case Op::OR:
+                    setReg(inst.rd, rs | rt);
+                    break;
+                  case Op::XOR:
+                    setReg(inst.rd, rs ^ rt);
+                    break;
+                  case Op::SLL:
+                    setReg(inst.rd, rs << (rt & 31));
+                    break;
+                  case Op::SRL:
+                    setReg(inst.rd, rs >> (rt & 31));
+                    break;
+                  case Op::SRA:
+                    setReg(inst.rd,
+                           static_cast<uint32_t>(static_cast<int32_t>(rs) >>
+                                                 (rt & 31)));
+                    break;
+                  case Op::MUL:
+                    setReg(inst.rd, rs * rt);
+                    break;
+                  case Op::SLT:
+                    setReg(inst.rd, static_cast<int32_t>(rs) <
+                                            static_cast<int32_t>(rt)
+                                        ? 1
+                                        : 0);
+                    break;
+                  case Op::SLTU:
+                    setReg(inst.rd, rs < rt ? 1 : 0);
+                    break;
+
+                  case Op::ADDI:
+                    setReg(inst.rd, rs + uimm);
+                    break;
+                  case Op::ANDI:
+                    setReg(inst.rd, rs & uimm);
+                    break;
+                  case Op::ORI:
+                    setReg(inst.rd, rs | uimm);
+                    break;
+                  case Op::XORI:
+                    setReg(inst.rd, rs ^ uimm);
+                    break;
+                  case Op::SLLI:
+                    setReg(inst.rd, rs << (uimm & 31));
+                    break;
+                  case Op::SRLI:
+                    setReg(inst.rd, rs >> (uimm & 31));
+                    break;
+                  case Op::SRAI:
+                    setReg(inst.rd,
+                           static_cast<uint32_t>(static_cast<int32_t>(rs) >>
+                                                 (uimm & 31)));
+                    break;
+                  case Op::SLTI:
+                    setReg(inst.rd,
+                           static_cast<int32_t>(rs) < inst.imm ? 1 : 0);
+                    break;
+                  case Op::SLTIU:
+                    setReg(inst.rd, rs < uimm ? 1 : 0);
+                    break;
+                  case Op::LUI:
+                    setReg(inst.rd, uimm << 16);
+                    break;
+
+                  case Op::LW: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    const uint32_t value = mem.read32(addr, region);
+                    notify({addr, 4, false, region});
+                    setReg(inst.rd, value);
+                    break;
+                  }
+                  case Op::LH: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    const uint32_t value = static_cast<uint32_t>(
+                        sext(mem.read16(addr, region), 16));
+                    notify({addr, 2, false, region});
+                    setReg(inst.rd, value);
+                    break;
+                  }
+                  case Op::LHU: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    const uint32_t value = mem.read16(addr, region);
+                    notify({addr, 2, false, region});
+                    setReg(inst.rd, value);
+                    break;
+                  }
+                  case Op::LB: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    const uint32_t value = static_cast<uint32_t>(
+                        sext(mem.read8(addr, region), 8));
+                    notify({addr, 1, false, region});
+                    setReg(inst.rd, value);
+                    break;
+                  }
+                  case Op::LBU: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    const uint32_t value = mem.read8(addr, region);
+                    notify({addr, 1, false, region});
+                    setReg(inst.rd, value);
+                    break;
+                  }
+
+                  case Op::SW: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    mem.write32(addr, r[inst.rd], region);
+                    notify({addr, 4, true, region});
+                    break;
+                  }
+                  case Op::SH: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    mem.write16(addr, static_cast<uint16_t>(r[inst.rd]),
+                                region);
+                    notify({addr, 2, true, region});
+                    break;
+                  }
+                  case Op::SB: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    mem.write8(addr, static_cast<uint8_t>(r[inst.rd]),
+                               region);
+                    notify({addr, 1, true, region});
+                    break;
+                  }
+
+                  case Op::BEQ: {
+                    const bool taken = rs == rt;
+                    if constexpr (kTracked) {
+                        const uint32_t target = pc + 4 + uimm * 4;
+                        o->onBranch(pc, taken, target);
+                        if (taken)
+                            next_pc = target;
+                    } else if (taken) {
+                        pc_redirect = ipc() + 4 + uimm * 4;
+                        redirected = true;
+                    }
+                    break;
+                  }
+                  case Op::BNE: {
+                    const bool taken = rs != rt;
+                    if constexpr (kTracked) {
+                        const uint32_t target = pc + 4 + uimm * 4;
+                        o->onBranch(pc, taken, target);
+                        if (taken)
+                            next_pc = target;
+                    } else if (taken) {
+                        pc_redirect = ipc() + 4 + uimm * 4;
+                        redirected = true;
+                    }
+                    break;
+                  }
+                  case Op::BLT: {
+                    const bool taken = static_cast<int32_t>(rs) <
+                                       static_cast<int32_t>(rt);
+                    if constexpr (kTracked) {
+                        const uint32_t target = pc + 4 + uimm * 4;
+                        o->onBranch(pc, taken, target);
+                        if (taken)
+                            next_pc = target;
+                    } else if (taken) {
+                        pc_redirect = ipc() + 4 + uimm * 4;
+                        redirected = true;
+                    }
+                    break;
+                  }
+                  case Op::BGE: {
+                    const bool taken = static_cast<int32_t>(rs) >=
+                                       static_cast<int32_t>(rt);
+                    if constexpr (kTracked) {
+                        const uint32_t target = pc + 4 + uimm * 4;
+                        o->onBranch(pc, taken, target);
+                        if (taken)
+                            next_pc = target;
+                    } else if (taken) {
+                        pc_redirect = ipc() + 4 + uimm * 4;
+                        redirected = true;
+                    }
+                    break;
+                  }
+                  case Op::BLTU: {
+                    const bool taken = rs < rt;
+                    if constexpr (kTracked) {
+                        const uint32_t target = pc + 4 + uimm * 4;
+                        o->onBranch(pc, taken, target);
+                        if (taken)
+                            next_pc = target;
+                    } else if (taken) {
+                        pc_redirect = ipc() + 4 + uimm * 4;
+                        redirected = true;
+                    }
+                    break;
+                  }
+                  case Op::BGEU: {
+                    const bool taken = rs >= rt;
+                    if constexpr (kTracked) {
+                        const uint32_t target = pc + 4 + uimm * 4;
+                        o->onBranch(pc, taken, target);
+                        if (taken)
+                            next_pc = target;
+                    } else if (taken) {
+                        pc_redirect = ipc() + 4 + uimm * 4;
+                        redirected = true;
+                    }
+                    break;
+                  }
+
+                  case Op::J:
+                    if constexpr (kTracked) {
+                        next_pc = pc + 4 + uimm * 4;
+                    } else {
+                        pc_redirect = ipc() + 4 + uimm * 4;
+                        redirected = true;
+                    }
+                    break;
+                  case Op::JAL:
+                    setReg(isa::regLr, ipc() + 4);
+                    if constexpr (kTracked) {
+                        next_pc = pc + 4 + uimm * 4;
+                    } else {
+                        pc_redirect = ipc() + 4 + uimm * 4;
+                        redirected = true;
+                    }
+                    break;
+                  case Op::JR:
+                    if constexpr (kTracked) {
+                        next_pc = rs;
+                    } else {
+                        pc_redirect = rs;
+                        redirected = true;
+                    }
+                    break;
+                  case Op::JALR:
+                    setReg(inst.rd, ipc() + 4);
+                    if constexpr (kTracked) {
+                        next_pc = rs;
+                    } else {
+                        pc_redirect = rs;
+                        redirected = true;
+                    }
+                    break;
+
+                  case Op::SYS:
+                    halted = true;
+                    break;
+
+                  case Op::INVALID:
+                    // Hoisted to run setup (ends_invalid); unreachable.
+                    throw DecodeError(strprintf(
+                        "undecodable instruction word at pc=0x%x",
+                        ipc()));
+                }
+
                 if constexpr (kTracked)
-                    return pc;
-                else
-                    return base +
-                           (static_cast<uint32_t>(ip - insts) << 2);
-            };
-
-            const uint32_t rs = r[inst.rs];
-            const uint32_t rt = r[inst.rt];
-            const uint32_t uimm = static_cast<uint32_t>(inst.imm);
-
-            switch (inst.op) {
-              case Op::ADD:
-                setReg(inst.rd, rs + rt);
-                break;
-              case Op::SUB:
-                setReg(inst.rd, rs - rt);
-                break;
-              case Op::AND:
-                setReg(inst.rd, rs & rt);
-                break;
-              case Op::OR:
-                setReg(inst.rd, rs | rt);
-                break;
-              case Op::XOR:
-                setReg(inst.rd, rs ^ rt);
-                break;
-              case Op::SLL:
-                setReg(inst.rd, rs << (rt & 31));
-                break;
-              case Op::SRL:
-                setReg(inst.rd, rs >> (rt & 31));
-                break;
-              case Op::SRA:
-                setReg(inst.rd,
-                       static_cast<uint32_t>(static_cast<int32_t>(rs) >>
-                                             (rt & 31)));
-                break;
-              case Op::MUL:
-                setReg(inst.rd, rs * rt);
-                break;
-              case Op::SLT:
-                setReg(inst.rd, static_cast<int32_t>(rs) <
-                                        static_cast<int32_t>(rt)
-                                    ? 1
-                                    : 0);
-                break;
-              case Op::SLTU:
-                setReg(inst.rd, rs < rt ? 1 : 0);
-                break;
-
-              case Op::ADDI:
-                setReg(inst.rd, rs + uimm);
-                break;
-              case Op::ANDI:
-                setReg(inst.rd, rs & uimm);
-                break;
-              case Op::ORI:
-                setReg(inst.rd, rs | uimm);
-                break;
-              case Op::XORI:
-                setReg(inst.rd, rs ^ uimm);
-                break;
-              case Op::SLLI:
-                setReg(inst.rd, rs << (uimm & 31));
-                break;
-              case Op::SRLI:
-                setReg(inst.rd, rs >> (uimm & 31));
-                break;
-              case Op::SRAI:
-                setReg(inst.rd,
-                       static_cast<uint32_t>(static_cast<int32_t>(rs) >>
-                                             (uimm & 31)));
-                break;
-              case Op::SLTI:
-                setReg(inst.rd,
-                       static_cast<int32_t>(rs) < inst.imm ? 1 : 0);
-                break;
-              case Op::SLTIU:
-                setReg(inst.rd, rs < uimm ? 1 : 0);
-                break;
-              case Op::LUI:
-                setReg(inst.rd, uimm << 16);
-                break;
-
-              case Op::LW: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                const uint32_t value = mem.read32(addr, region);
-                o->onMemAccess({addr, 4, false, region});
-                setReg(inst.rd, value);
-                break;
-              }
-              case Op::LH: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                const uint32_t value = static_cast<uint32_t>(
-                    sext(mem.read16(addr, region), 16));
-                o->onMemAccess({addr, 2, false, region});
-                setReg(inst.rd, value);
-                break;
-              }
-              case Op::LHU: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                const uint32_t value = mem.read16(addr, region);
-                o->onMemAccess({addr, 2, false, region});
-                setReg(inst.rd, value);
-                break;
-              }
-              case Op::LB: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                const uint32_t value = static_cast<uint32_t>(
-                    sext(mem.read8(addr, region), 8));
-                o->onMemAccess({addr, 1, false, region});
-                setReg(inst.rd, value);
-                break;
-              }
-              case Op::LBU: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                const uint32_t value = mem.read8(addr, region);
-                o->onMemAccess({addr, 1, false, region});
-                setReg(inst.rd, value);
-                break;
-              }
-
-              case Op::SW: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                mem.write32(addr, r[inst.rd], region);
-                o->onMemAccess({addr, 4, true, region});
-                break;
-              }
-              case Op::SH: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                mem.write16(addr, static_cast<uint16_t>(r[inst.rd]),
-                            region);
-                o->onMemAccess({addr, 2, true, region});
-                break;
-              }
-              case Op::SB: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                mem.write8(addr, static_cast<uint8_t>(r[inst.rd]),
-                           region);
-                o->onMemAccess({addr, 1, true, region});
-                break;
-              }
-
-              case Op::BEQ: {
-                const bool taken = rs == rt;
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-              case Op::BNE: {
-                const bool taken = rs != rt;
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-              case Op::BLT: {
-                const bool taken = static_cast<int32_t>(rs) <
-                                   static_cast<int32_t>(rt);
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-              case Op::BGE: {
-                const bool taken = static_cast<int32_t>(rs) >=
-                                   static_cast<int32_t>(rt);
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-              case Op::BLTU: {
-                const bool taken = rs < rt;
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-              case Op::BGEU: {
-                const bool taken = rs >= rt;
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-
-              case Op::J:
-                if constexpr (kTracked) {
-                    next_pc = pc + 4 + uimm * 4;
-                } else {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              case Op::JAL:
-                setReg(isa::regLr, ipc() + 4);
-                if constexpr (kTracked) {
-                    next_pc = pc + 4 + uimm * 4;
-                } else {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              case Op::JR:
-                if constexpr (kTracked) {
-                    next_pc = rs;
-                } else {
-                    pc_redirect = rs;
-                    redirected = true;
-                }
-                break;
-              case Op::JALR:
-                setReg(inst.rd, ipc() + 4);
-                if constexpr (kTracked) {
-                    next_pc = rs;
-                } else {
-                    pc_redirect = rs;
-                    redirected = true;
-                }
-                break;
-
-              case Op::SYS: {
-                const uint64_t executed =
-                    count +
-                    static_cast<uint64_t>(ip - (insts + slot)) + 1;
-                lifetimeInsts += executed;
-                lifetimeBlocks += blocks;
-                return {static_cast<isa::SysCode>(inst.imm),
-                        reg(isa::regA1), executed};
-              }
-
-              case Op::INVALID:
-                // Hoisted to run setup (ends_invalid); unreachable.
-                throw DecodeError(strprintf(
-                    "undecodable instruction word at pc=0x%x",
-                    ipc()));
+                    pc = next_pc;
             }
-
-            if constexpr (kTracked)
-                pc = next_pc;
+        } catch (...) {
+            // ip is the faulting instruction: it reached execution.
+            if constexpr (kPerRun)
+                o->onRun(run, slot, lens[slot],
+                         static_cast<uint32_t>(ip - run) + 1);
+            throw;
         }
-        count += static_cast<uint64_t>(stop - (insts + slot));
+        const auto ran = static_cast<uint32_t>(stop - run);
+        count += ran;
+        if constexpr (kPerRun)
+            o->onRun(run, slot, lens[slot], ran);
+        if (halted) {
+            lifetimeInsts += count;
+            lifetimeBlocks += blocks;
+            return {static_cast<isa::SysCode>(stop[-1].imm),
+                    reg(isa::regA1), count};
+        }
         if constexpr (!kTracked) {
             pc = redirected
                      ? pc_redirect

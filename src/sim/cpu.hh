@@ -5,9 +5,11 @@
  * This is the PacketBench equivalent of the paper's SimpleScalar
  * processor simulator: it executes one application program at
  * instruction granularity and reports every executed instruction,
- * memory access, and branch outcome to an ExecObserver.  The
- * framework attaches an observer only while application code runs,
- * which implements the paper's *selective accounting*.
+ * memory access, and branch outcome to an ExecObserver (a lone
+ * accounting PacketRecorder hears of instructions per straight-line
+ * run instead).  The framework attaches an observer only while
+ * application code runs, which implements the paper's *selective
+ * accounting*.
  *
  * Two dispatch loops execute the same ISA bit-identically:
  *
@@ -15,9 +17,10 @@
  *    carries, per instruction slot, the straight-line run length to
  *    the next control-flow/SYS instruction.  Fetch-bounds, alignment,
  *    and budget checks hoist to once per run instead of once per
- *    instruction, and the inner loop is specialized on whether an
- *    observer is attached (the no-observer loop contains no virtual
- *    calls at all).
+ *    instruction, and the inner loop is specialized on the observer:
+ *    none (no calls at all), the accounting PacketRecorder alone
+ *    (charged once per run, plus once per memory access), or any
+ *    other observer (one virtual call per event).
  *  - DispatchMode::Reference: the plain one-instruction-at-a-time
  *    loop, kept as the semantic reference for differential tests and
  *    as the debugger's single-step primitive (runSliceRef).
@@ -94,9 +97,9 @@ class ExecObserver
     /**
      * Non-null when this observer IS the accounting PacketRecorder
      * (a final class).  The CPU resolves this at attach time so the
-     * block-stepped loop can instantiate a fully devirtualized —
-     * and therefore inlinable — event path for the common
-     * one-recorder configuration.
+     * block-stepped loop can charge the recorder once per
+     * straight-line run, through inline non-virtual calls, in the
+     * common one-recorder configuration.
      */
     virtual PacketRecorder *asRecorder() { return nullptr; }
 };
@@ -232,8 +235,9 @@ class Cpu
     /**
      * The block-stepped loop, templated on the concrete observer
      * type: a no-op observer (events compile out), the final
-     * PacketRecorder (events inline), or plain ExecObserver (one
-     * virtual call per event).
+     * PacketRecorder (charged per run through its inline onRun() and
+     * onMemAccessAt()), or plain ExecObserver (one virtual call per
+     * event).
      */
     template <typename ObsT>
     RunResult runBlocked(uint32_t entry, uint64_t max_insts,

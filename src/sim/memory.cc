@@ -7,8 +7,10 @@
 
 #include "memory.hh"
 
-#include <algorithm>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
 
 namespace pb::sim
 {
@@ -31,13 +33,54 @@ memRegionName(MemRegion region)
     return "unmapped";
 }
 
+namespace
+{
+
+/**
+ * Inaccessible bytes after each region.  Region sizes are multiples
+ * of the 64 KiB lookup page, so every region and guard starts on a
+ * host page boundary for any host page size up to that.
+ */
+constexpr size_t guardBytes = size_t{1} << layout::pageShift;
+static_assert(layout::textSize % guardBytes == 0 &&
+              layout::dataSize % guardBytes == 0 &&
+              layout::packetSize % guardBytes == 0 &&
+              layout::stackSize % guardBytes == 0);
+
+/** Every region and its guard, in MemRegion order. */
+constexpr size_t mappingBytes = size_t{layout::textSize} +
+                                layout::dataSize + layout::packetSize +
+                                layout::stackSize +
+                                layout::numRegions * guardBytes;
+
+} // namespace
+
 Memory::Memory()
 {
+    // Reserved but not committed: untouched pages read as zero and
+    // cost nothing, however many engines a run builds.
+    void *mapping =
+        mmap(nullptr, mappingBytes, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (mapping == MAP_FAILED)
+        throw std::bad_alloc();
+    uint8_t *next = static_cast<uint8_t *>(mapping);
     for (unsigned r = 0; r < layout::numRegions; r++) {
-        store[r].assign(layout::regionSize[r], 0);
+        store[r] = next;
+        next += layout::regionSize[r];
+        if (mprotect(next, guardBytes, PROT_NONE) != 0) {
+            munmap(mapping, mappingBytes);
+            throw std::bad_alloc();
+        }
+        next += guardBytes;
         dirtyLo[r] = layout::regionSize[r];
         dirtyHi[r] = 0;
     }
+}
+
+Memory::~Memory()
+{
+    munmap(store[0], mappingBytes);
 }
 
 void
@@ -93,7 +136,7 @@ Memory::reset()
     // Re-zero only what was written since the last reset.
     for (unsigned r = 0; r < layout::numRegions; r++) {
         if (dirtyLo[r] < dirtyHi[r])
-            std::memset(store[r].data() + dirtyLo[r], 0,
+            std::memset(store[r] + dirtyLo[r], 0,
                         dirtyHi[r] - dirtyLo[r]);
         dirtyLo[r] = layout::regionSize[r];
         dirtyHi[r] = 0;

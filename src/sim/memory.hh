@@ -11,6 +11,13 @@
  *
  * Memory itself is passive; accounting is done by the CPU's observer.
  *
+ * The regions live in one anonymous mapping that the kernel zeroes on
+ * demand: constructing a Memory touches none of its 16 MiB+, and only
+ * pages the program or the framework actually use become resident.
+ * Each region is followed by an inaccessible guard page, so a
+ * host-side overrun faults instead of landing in the next region.
+ * (AddressSanitizer does not instrument this mapping.)
+ *
  * Address resolution is O(1): the layout is fixed (sim/memmap.hh), so
  * a page-granular table plus one range check turns an address into a
  * host pointer and region kind in a single step — no region-list
@@ -25,7 +32,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <utility>
 
 #include "common/bitops.hh"
 #include "common/byteorder.hh"
@@ -53,8 +60,15 @@ class Memory
         MemRegion region;
     };
 
-    /** Create memory with the default PacketBench layout. */
+    /**
+     * Create zeroed memory with the default PacketBench layout.
+     * @throws std::bad_alloc when the mapping cannot be made
+     */
     Memory();
+    ~Memory();
+
+    Memory(const Memory &) = delete;
+    Memory &operator=(const Memory &) = delete;
 
     /**
      * Classify an address.  Returns MemRegion::Unmapped for addresses
@@ -79,7 +93,7 @@ class Memory
             throwUnmapped(addr, len);
         if (len > layout::regionSize[idx] - off) [[unlikely]]
             throwCrossesEnd(addr, len, static_cast<MemRegion>(idx));
-        return {store[idx].data() + off, static_cast<MemRegion>(idx)};
+        return {store[idx] + off, static_cast<MemRegion>(idx)};
     }
 
     /**
@@ -102,7 +116,7 @@ class Memory
             dirtyLo[idx] = off;
         if (off + len > dirtyHi[idx])
             dirtyHi[idx] = off + len;
-        return {store[idx].data() + off, static_cast<MemRegion>(idx)};
+        return {store[idx] + off, static_cast<MemRegion>(idx)};
     }
 
     /**
@@ -284,8 +298,11 @@ class Memory
     [[noreturn]] static void throwMisaligned(const char *what,
                                              uint32_t addr);
 
-    /** Backing bytes, indexed by MemRegion value (Text..Stack). */
-    std::vector<uint8_t> store[layout::numRegions];
+    /**
+     * Backing bytes, indexed by MemRegion value (Text..Stack): one
+     * mapping, starting at store[0], with a guard after each region.
+     */
+    uint8_t *store[layout::numRegions];
 
     /** Dirty extent per region, as [lo, hi) offsets from the base. */
     uint32_t dirtyLo[layout::numRegions];

@@ -214,6 +214,17 @@ TEST(PacketBench, RunStopsAtTraceEnd)
     EXPECT_EQ(outcomes.size(), 25u);
 }
 
+TEST(PacketBench, HugeBoundOverShortTraceReturnsEveryPacket)
+{
+    // Storage follows the packets the source produces, not the bound:
+    // reserving UINT32_MAX outcomes up front threw std::bad_alloc.
+    CountingApp app;
+    PacketBench bench(app);
+    SyntheticTrace trace(Profile::LAN, 10, 1);
+    auto outcomes = bench.run(trace, UINT32_MAX);
+    EXPECT_EQ(outcomes.size(), 10u);
+}
+
 TEST(PacketBench, RunawayHandlerHitsBudget)
 {
     SpinApp app;

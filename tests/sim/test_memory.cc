@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <tuple>
+#include <vector>
+
+#include <unistd.h>
 
 #include "sim/memory.hh"
 
@@ -59,6 +65,52 @@ TEST(Memory, FreshMemoryIsZero)
     Memory mem;
     EXPECT_EQ(mem.read32(dataBase + 1024), 0u);
     EXPECT_EQ(mem.read8(packetBase), 0u);
+}
+
+/** This process's resident set size in bytes (/proc/self/statm). */
+uint64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    uint64_t size = 0;
+    uint64_t resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(Memory, FreshMemoryIsZeroedOnDemand)
+{
+    // Construction commits none of a Memory's 16 MiB+: pages become
+    // resident (as zeroes) only when first touched.
+    constexpr int count = 8;
+    const uint64_t before = residentBytes();
+    std::vector<std::unique_ptr<Memory>> mems;
+    for (int i = 0; i < count; i++)
+        mems.push_back(std::make_unique<Memory>());
+    EXPECT_LT(residentBytes(), before + dataSize)
+        << count << " fresh memories made their regions resident";
+
+    std::vector<uint8_t> chunk(packetSize);
+    for (const auto &mem : mems) {
+        for (unsigned r = 0; r < numRegions; r++) {
+            for (uint32_t off = 0; off < regionSize[r];
+                 off += packetSize) {
+                mem->readBlock(regionBase[r] + off, chunk.data(),
+                               packetSize);
+                ASSERT_TRUE(std::all_of(chunk.begin(), chunk.end(),
+                                        [](uint8_t b) { return b == 0; }))
+                    << "region " << r << " offset " << off;
+            }
+        }
+    }
+}
+
+TEST(MemoryDeathTest, HostOverrunPastARegionFaults)
+{
+    // The byte after a region is a guard page, not the next region.
+    Memory mem;
+    uint8_t *last = mem.writable(packetBase + packetSize - 1, 1).ptr;
+    EXPECT_DEATH(*static_cast<volatile uint8_t *>(last + 1) = 1, "");
 }
 
 TEST(Memory, BlockCopyRoundTrip)
