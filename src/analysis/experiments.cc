@@ -126,6 +126,7 @@ runApp(AppKind kind, net::Profile profile, uint32_t packets,
             run.dropped++;
         run.stats.push_back(std::move(outcome.stats));
     }
+    bench.publishInterpMetrics();
     run.instMemoryBytes = bench.recorder().instMemoryBytes();
     run.dataMemoryBytes = bench.recorder().dataMemoryBytes();
     run.numBlocks = bench.blocks().numBlocks();

@@ -47,6 +47,23 @@ MultiCoreResult::speedup() const
                : 1.0;
 }
 
+namespace
+{
+
+/** Count one processed packet of @p l3_len bytes into @p load. */
+void
+addOutcome(EngineLoad &load, const PacketOutcome &outcome,
+           uint64_t l3_len)
+{
+    load.packets++;
+    load.instructions += outcome.stats.instCount;
+    load.bytes += l3_len;
+    if (outcome.faulted())
+        load.faults++;
+}
+
+} // namespace
+
 MultiCoreBench::MultiCoreBench(const AppFactory &factory,
                                uint32_t num_engines, BenchConfig cfg_)
     : cfg(cfg_)
@@ -127,12 +144,8 @@ MultiCoreBench::processPacket(net::Packet &packet)
 {
     uint32_t index = dispatchIndex(packet);
     uint64_t l3_len = packet.l3Len();
-    PacketOutcome outcome = engines[index]->processPacket(packet);
-    loads[index].packets++;
-    loads[index].instructions += outcome.stats.instCount;
-    loads[index].bytes += l3_len;
-    if (outcome.faulted())
-        loads[index].faults++;
+    addOutcome(loads[index], engines[index]->processPacket(packet),
+               l3_len);
     PB_COUNTER("mc.packets");
     return index;
 }
@@ -174,10 +187,12 @@ MultiCoreBench::runParallel(net::TraceSource &source,
 
     // One worker per engine; only worker e touches engines[e] and
     // loads[e], so per-engine state needs no locking (thread start
-    // and join order the accesses against this thread).  A worker
-    // that throws records the exception, then keeps draining its
-    // queue so the dispatcher can never block on a full queue whose
-    // consumer is gone.
+    // and join order the accesses against this thread).  Workers
+    // count into a private EngineLoad and fold it into loads[e] on
+    // exit: neighbouring loads[] entries share a cache line.  A
+    // worker that throws records the exception, then keeps draining
+    // its queue so the dispatcher can never block on a full queue
+    // whose consumer is gone.
     std::vector<std::thread> workers;
     workers.reserve(n);
     for (uint32_t e = 0; e < n; e++) {
@@ -186,6 +201,7 @@ MultiCoreBench::runParallel(net::TraceSource &source,
                 obs::Tracer::instance().setThreadName(
                     strprintf("engine %u", e));
             Batch batch;
+            EngineLoad load;
             bool failed = false;
             while (queues[e]->pop(batch)) {
                 PB_TRACE_SPAN_NAMED(batch_span, "mc",
@@ -203,15 +219,11 @@ MultiCoreBench::runParallel(net::TraceSource &source,
                             // run; only Abort (or a framework bug)
                             // reaches the catch below.
                             uint64_t l3_len = packet.l3Len();
-                            PacketOutcome outcome =
-                                engines[e]->processPacket(packet);
-                            loads[e].packets++;
-                            loads[e].instructions +=
-                                outcome.stats.instCount;
-                            loads[e].bytes += l3_len;
-                            if (outcome.faulted())
-                                loads[e].faults++;
+                            addOutcome(load,
+                                       engines[e]->processPacket(packet),
+                                       l3_len);
                         }
+                        engines[e]->publishInterpMetrics();
                     } catch (...) {
                         std::lock_guard<std::mutex> lock(error_mu);
                         if (!first_error)
@@ -222,6 +234,10 @@ MultiCoreBench::runParallel(net::TraceSource &source,
                 }
                 batch.clear();
             }
+            loads[e].packets += load.packets;
+            loads[e].instructions += load.instructions;
+            loads[e].bytes += load.bytes;
+            loads[e].faults += load.faults;
         });
     }
 
@@ -352,6 +368,8 @@ MultiCoreBench::run(net::TraceSource &source, uint64_t max_packets)
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
+    for (auto &engine : engines)
+        engine->publishInterpMetrics();
     publishRunMetrics(res);
     return res;
 }

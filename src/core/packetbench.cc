@@ -238,9 +238,9 @@ PacketBench::recordFault(const net::Packet &capture, FaultKind kind,
     }
     myInsts += outcome.stats.instCount;
     mySimNs += sim_ns;
-    publishInterpMetrics();
     if (uarch)
         publishUarchMetrics();
+    telem->count(outcome.stats.instCount, capture.l3Len());
 
     // A faulted packet is traffic too: while a pump runs it shows up
     // in the windowed fault rate and against its flow, so a flow of
@@ -412,9 +412,9 @@ PacketBench::processPacket(net::Packet &packet)
         cycleHist->observe(outcome.cycles);
     myInsts += outcome.stats.instCount;
     mySimNs += sim_ns;
-    publishInterpMetrics();
     if (uarch)
         publishUarchMetrics();
+    telem->count(outcome.stats.instCount, l3_len);
 
     // Windowed live telemetry, only while a stats pump runs (the
     // whole plane stays behind one relaxed load and a branch when
@@ -507,6 +507,7 @@ PacketBench::run(net::TraceSource &source, uint32_t max_packets,
         beat_at = now;
         beat_packets = packetCount;
     }
+    publishInterpMetrics();
     return outcomes;
 }
 

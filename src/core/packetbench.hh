@@ -218,6 +218,16 @@ class PacketBench
                                    uint32_t max_packets,
                                    net::TraceSink *sink = nullptr);
 
+    /**
+     * Publish this engine's sim.interp.{mips,blocks,block_len}
+     * gauges.  processPacket() leaves them alone, so engines never
+     * store to the shared gauges per packet: run() publishes once
+     * at its end, MultiCoreBench once per hand-off batch and at the
+     * end of its run(), and a caller that loops over processPacket()
+     * itself calls this when it wants the gauges current.
+     */
+    void publishInterpMetrics();
+
     /** @name Component access for analyses and tests. @{ */
     const sim::BlockMap &blocks() const { return *blockMap; }
     const sim::PacketRecorder &recorder() const { return *rec; }
@@ -286,13 +296,13 @@ class PacketBench
      * the rolling instructions-per-packet histogram, and the
      * per-flow top-K table, fed per packet only while a stats pump
      * runs (obs::statsEnabled()) — the disabled path is one relaxed
-     * load and a branch.
+     * load and a branch.  The since-start totals are fed on every
+     * packet, on a cache line only this engine writes.
      */
     obs::EngineTelemetry *telem = nullptr;
 
     /** @name Published telemetry (obs/metrics.hh). @{ */
     void publishUarchMetrics();
-    void publishInterpMetrics();
 
     obs::Counter *packetsCtr;
     obs::Counter *instsCtr;

@@ -5,6 +5,7 @@
 
 #include "metrics.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <fstream>
@@ -47,17 +48,32 @@ bucketOf(uint64_t sample)
 
 } // namespace
 
+namespace detail
+{
+
+size_t
+pickStripe()
+{
+    static std::atomic<size_t> nextStripe{0};
+    threadStripe =
+        nextStripe.fetch_add(1, std::memory_order_relaxed) % numStripes;
+    return threadStripe;
+}
+
+} // namespace detail
+
 void
 Histogram::observe(uint64_t sample)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    if (count == 0 || sample < min)
-        min = sample;
-    if (sample > max)
-        max = sample;
-    count++;
-    sum += sample;
-    buckets[bucketOf(sample)]++;
+    Stripe &s = stripes[stripeIndex()];
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (s.count == 0 || sample < s.min)
+        s.min = sample;
+    if (sample > s.max)
+        s.max = sample;
+    s.count++;
+    s.sum += sample;
+    s.buckets[bucketOf(sample)]++;
 }
 
 size_t
@@ -99,18 +115,26 @@ Histogram::Snapshot::quantile(double q) const
 Histogram::Snapshot
 Histogram::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(mu);
     Snapshot snap;
-    snap.count = count;
-    snap.sum = sum;
-    snap.min = min;
-    snap.max = max;
+    uint64_t merged[numBuckets] = {};
+    for (const Stripe &s : stripes) {
+        std::lock_guard<std::mutex> lock(s.mu);
+        if (s.count == 0)
+            continue;
+        if (snap.count == 0 || s.min < snap.min)
+            snap.min = s.min;
+        snap.max = std::max(snap.max, s.max);
+        snap.count += s.count;
+        snap.sum += s.sum;
+        for (size_t i = 0; i < numBuckets; i++)
+            merged[i] += s.buckets[i];
+    }
     size_t last = 0;
     for (size_t i = 0; i < numBuckets; i++) {
-        if (buckets[i])
+        if (merged[i])
             last = i + 1;
     }
-    snap.buckets.assign(buckets, buckets + last);
+    snap.buckets.assign(merged, merged + last);
     return snap;
 }
 
@@ -201,18 +225,20 @@ Registry::reset()
     for (auto &[name, s] : slots) {
         switch (s.kind) {
           case MetricKind::Counter:
-            s.c->value_.store(0, std::memory_order_relaxed);
+            for (auto &stripe : s.c->stripes)
+                stripe.value.store(0, std::memory_order_relaxed);
             break;
           case MetricKind::Gauge:
             s.g->value_.store(0.0, std::memory_order_relaxed);
             break;
-          case MetricKind::Histogram: {
-            std::lock_guard<std::mutex> hlock(s.h->mu);
-            s.h->count = s.h->sum = s.h->min = s.h->max = 0;
-            for (auto &bucket : s.h->buckets)
-                bucket = 0;
+          case MetricKind::Histogram:
+            for (auto &stripe : s.h->stripes) {
+                std::lock_guard<std::mutex> hlock(stripe.mu);
+                stripe.count = stripe.sum = stripe.min = stripe.max = 0;
+                for (auto &bucket : stripe.buckets)
+                    bucket = 0;
+            }
             break;
-          }
         }
     }
 }

@@ -17,10 +17,15 @@
  *  - a metric's kind is fixed at first registration; re-registering
  *    the same name with a different kind is a panic.
  *
- * All metric updates are thread-safe and cheap (relaxed atomics);
- * registration takes a lock, so hot paths should resolve a metric
- * once and keep the reference (see PB_COUNTER / PB_SCOPED_TIMER for
- * the cached-static idiom).
+ * All metric updates are thread-safe and cheap; registration takes a
+ * lock, so hot paths should resolve a metric once and keep the
+ * reference (see PB_COUNTER / PB_SCOPED_TIMER for the cached-static
+ * idiom).  Counters and histograms are striped: each keeps
+ * numStripes cache-line-aligned copies of its state, a thread
+ * writes only the stripe it picked once (stripeIndex()), and reads
+ * sum every stripe.  Engine workers that bump the same metric on
+ * every packet therefore never write the same cache line, the
+ * per-core-counter idiom of packet-processing daemons.
  */
 
 #ifndef PB_OBS_METRICS_HH
@@ -28,6 +33,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -50,6 +56,34 @@ enum class MetricKind
 /** Kind name for reports ("counter", "gauge", "histogram"). */
 const char *metricKindName(MetricKind kind);
 
+/** Stripes per Counter and Histogram. */
+inline constexpr size_t numStripes = 8;
+
+/** Cache-line size the stripes are aligned to. */
+inline constexpr size_t cacheLineBytes = 64;
+
+namespace detail
+{
+/** This thread's stripe; numStripes until the thread picks one. */
+inline thread_local size_t threadStripe = numStripes;
+
+/** Pick the calling thread's stripe (round-robin over threads). */
+size_t pickStripe();
+} // namespace detail
+
+/**
+ * The stripe the calling thread writes, picked on its first metric
+ * update and kept for the thread's lifetime.  Threads take stripes
+ * round-robin, so up to numStripes concurrent writers never share
+ * one.
+ */
+inline size_t
+stripeIndex()
+{
+    size_t stripe = detail::threadStripe;
+    return stripe < numStripes ? stripe : detail::pickStripe();
+}
+
 /** Monotonically increasing event count. */
 class Counter
 {
@@ -57,18 +91,28 @@ class Counter
     void
     add(uint64_t n = 1)
     {
-        value_.fetch_add(n, std::memory_order_relaxed);
+        stripes[stripeIndex()].value.fetch_add(
+            n, std::memory_order_relaxed);
     }
 
+    /** Sum over every stripe. */
     uint64_t
     value() const
     {
-        return value_.load(std::memory_order_relaxed);
+        uint64_t total = 0;
+        for (const Stripe &stripe : stripes)
+            total += stripe.value.load(std::memory_order_relaxed);
+        return total;
     }
 
   private:
     friend class Registry;
-    std::atomic<uint64_t> value_{0};
+
+    struct alignas(cacheLineBytes) Stripe
+    {
+        std::atomic<uint64_t> value{0};
+    };
+    Stripe stripes[numStripes];
 };
 
 /** Last-written instantaneous value (rates, sizes, ratios). */
@@ -104,6 +148,11 @@ class Gauge
  * edges of 2^i - 1.)  66 buckets cover the full uint64 domain, so
  * observe() never saturates or clips; the last bucket's upper edge
  * (2^64) is reported as UINT64_MAX.
+ *
+ * Each stripe holds a whole distribution behind its own mutex, so a
+ * thread locks only the stripe it writes, and snapshot() merges the
+ * stripes one at a time (every stripe is self-consistent, so the
+ * merged count always equals the sum of the merged buckets).
  */
 class Histogram
 {
@@ -150,12 +199,17 @@ class Histogram
 
   private:
     friend class Registry;
-    mutable std::mutex mu;
-    uint64_t count = 0;
-    uint64_t sum = 0;
-    uint64_t min = 0;
-    uint64_t max = 0;
-    uint64_t buckets[numBuckets] = {};
+
+    struct alignas(cacheLineBytes) Stripe
+    {
+        mutable std::mutex mu;
+        uint64_t count = 0;
+        uint64_t sum = 0;
+        uint64_t min = 0;
+        uint64_t max = 0;
+        uint64_t buckets[numBuckets] = {};
+    };
+    Stripe stripes[numStripes];
 };
 
 /**
@@ -200,7 +254,10 @@ class Registry
     /** Number of registered metrics. */
     size_t size() const;
 
-    /** Zero every value, keeping all registrations (test hook). */
+    /**
+     * Zero every value, every stripe included, keeping all
+     * registrations (test hook).
+     */
     void reset();
 
   private:

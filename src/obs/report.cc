@@ -9,12 +9,12 @@
 #include "report.hh"
 
 #include <cinttypes>
-#include <cstdio>
 #include <ctime>
 #include <fstream>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "obs/buildinfo.hh"
 #include "obs/json.hh"
 
 namespace pb::obs
@@ -39,18 +39,7 @@ RunMeta::fromArgv(int argc, char **argv)
 std::string
 gitDescribe()
 {
-    FILE *pipe = popen(
-        "git describe --always --dirty 2>/dev/null", "r");
-    if (!pipe)
-        return "unknown";
-    char buf[128] = {};
-    std::string out;
-    if (fgets(buf, sizeof(buf), pipe))
-        out = buf;
-    pclose(pipe);
-    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-        out.pop_back();
-    return out.empty() ? "unknown" : out;
+    return buildinfo::gitDescribe;
 }
 
 std::string

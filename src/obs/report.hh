@@ -71,7 +71,11 @@ struct RunMeta
     static RunMeta fromArgv(int argc, char **argv);
 };
 
-/** `git describe --always --dirty`, or "unknown" outside a repo. */
+/**
+ * `git describe --always --dirty` of the source tree, stamped when
+ * CMake configured the build ("unknown" when the tree was not a git
+ * work tree).  The same wherever the binary runs.
+ */
 std::string gitDescribe();
 
 /** Current UTC time as "YYYY-MM-DDThh:mm:ssZ". */

@@ -38,6 +38,9 @@ EngineTelemetry::reset()
     faults.reset();
     instsPerPacket.reset();
     queueDepth.store(0, std::memory_order_relaxed);
+    totals.packets.store(0, std::memory_order_relaxed);
+    totals.bytes.store(0, std::memory_order_relaxed);
+    totals.insts.store(0, std::memory_order_relaxed);
     topk.reset();
 }
 

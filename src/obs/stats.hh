@@ -14,7 +14,9 @@
  *    table (obs/topk.hh), and the dispatcher's queue-occupancy
  *    sample.  While a pump runs, PacketBench feeds its engine's
  *    record on every packet and the dispatcher samples queue depth
- *    per batch.
+ *    per batch.  Gate or no gate, each engine also keeps since-start
+ *    packet/byte/instruction totals in its record, which is what the
+ *    packetbenchd console speed line differences between ticks.
  *
  *  - StatsPump is a background thread that, every PB_STATS_MS
  *    milliseconds (default 1000), snapshots the registry plus the
@@ -65,6 +67,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "obs/topk.hh"
 #include "obs/window.hh"
 
@@ -86,9 +89,8 @@ statsEnabled()
 
 /**
  * Raise or lower the per-packet telemetry gate directly.  StatsPump
- * toggles it around start()/stop(); the service daemon raises it
- * without a pump so its live speed reporter can read the windowed
- * rates even when no `--stats` stream was requested.
+ * toggles it around start()/stop(); tests and overhead probes flip
+ * it to time the two paths.
  */
 inline void
 setStatsEnabled(bool on)
@@ -114,6 +116,20 @@ telemetryNowNs()
  */
 struct EngineTelemetry
 {
+    /**
+     * Since-start totals over every packet the engine processed,
+     * completed or faulted, kept whether or not the gate is up.
+     * Only the owning engine writes them, on a cache line of their
+     * own: the dispatcher stores queueDepth every batch.
+     */
+    struct alignas(cacheLineBytes) Totals
+    {
+        std::atomic<uint64_t> packets{0};
+        std::atomic<uint64_t> bytes{0};
+        std::atomic<uint64_t> insts{0};
+    };
+    Totals totals;
+
     uint32_t engineId = 0;
 
     WindowedRate packets;
@@ -144,7 +160,24 @@ struct EngineTelemetry
         instsPerPacket.observe(insts_n, now_ns);
     }
 
-    /** Zero every window and the flow table (test hook). */
+    /**
+     * Add one processed packet to totals.  One writer owns an engine
+     * id at a time (see Telemetry), so a relaxed load and store
+     * replace a locked read-modify-write on the packet path.
+     */
+    void
+    count(uint64_t insts_n, uint64_t bytes_n)
+    {
+        auto bump = [](std::atomic<uint64_t> &total, uint64_t n) {
+            total.store(total.load(std::memory_order_relaxed) + n,
+                        std::memory_order_relaxed);
+        };
+        bump(totals.packets, 1);
+        bump(totals.bytes, bytes_n);
+        bump(totals.insts, insts_n);
+    }
+
+    /** Zero every window, the totals and the flow table (test hook). */
     void reset();
 };
 

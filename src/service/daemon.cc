@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/shutdown.hh"
@@ -27,18 +28,26 @@ namespace
 {
 
 /**
- * Periodic console speed line from the live telemetry hub, in the
- * spirit of per-core Mpps/Gbps lines from packet-analytics daemons.
- * Runs on its own thread; stop() wakes and joins it.
+ * Periodic console speed line, in the spirit of per-core Mpps/Gbps
+ * lines from packet-analytics daemons.  Rates are differences of the
+ * engines' since-start totals (obs::EngineTelemetry::totals) between
+ * ticks, so the line needs no per-packet telemetry gate.  Runs on
+ * its own thread; stop() wakes and joins it.
  */
 class SpeedReporter
 {
   public:
     SpeedReporter(const IngestRing &ring,
-                  const TraceReplayer &replayer,
+                  const TraceReplayer &replayer, uint32_t num_engines,
                   uint32_t interval_ms)
-        : ring(ring), replayer(replayer), intervalMs(interval_ms)
+        : ring(ring), replayer(replayer), intervalMs(interval_ms),
+          prevNs(obs::telemetryNowNs())
     {
+        for (uint32_t e = 0; e < num_engines; e++) {
+            const obs::EngineTelemetry &telem =
+                obs::Telemetry::instance().engine(e);
+            engines.push_back({&telem, read(telem)});
+        }
         thread = std::thread([this] { loop(); });
     }
 
@@ -58,6 +67,29 @@ class SpeedReporter
     }
 
   private:
+    /** One engine's since-start totals at a tick. */
+    struct Totals
+    {
+        uint64_t packets = 0;
+        uint64_t bytes = 0;
+        uint64_t insts = 0;
+    };
+
+    struct Engine
+    {
+        const obs::EngineTelemetry *telem;
+        Totals prev;
+    };
+
+    static Totals
+    read(const obs::EngineTelemetry &telem)
+    {
+        const auto &t = telem.totals;
+        return {t.packets.load(std::memory_order_relaxed),
+                t.bytes.load(std::memory_order_relaxed),
+                t.insts.load(std::memory_order_relaxed)};
+    }
+
     void
     loop()
     {
@@ -74,24 +106,31 @@ class SpeedReporter
     void
     emit()
     {
-        uint64_t now = obs::telemetryNowNs();
+        uint64_t now_ns = obs::telemetryNowNs();
+        double dt = static_cast<double>(now_ns - prevNs) / 1e9;
+        prevNs = now_ns;
+        // Totals only grow, except when a test resets the hub.
+        auto rate = [dt](uint64_t now, uint64_t prev) {
+            return static_cast<double>(now >= prev ? now - prev : now) /
+                   dt;
+        };
         double pps = 0.0, bps = 0.0, mips = 0.0;
         std::string per_engine;
-        for (const obs::EngineTelemetry *e :
-             obs::Telemetry::instance().engines()) {
-            double epps = e->packets.rate(now);
+        for (Engine &e : engines) {
+            Totals now = read(*e.telem);
+            double epps = rate(now.packets, e.prev.packets);
             pps += epps;
-            bps += e->bytes.rate(now) * 8.0;
-            mips += e->insts.rate(now) / 1e6;
-            per_engine += strprintf(" e%u=%.2f", e->engineId,
+            bps += rate(now.bytes, e.prev.bytes) * 8.0;
+            mips += rate(now.insts, e.prev.insts) / 1e6;
+            per_engine += strprintf(" e%u=%.2f", e.telem->engineId,
                                     epps / 1e6);
+            e.prev = now;
         }
         fprintf(stderr,
                 "[packetbenchd] %.3f Mpps %.3f Gbps %.1f MIPS |%s"
                 " | ring %zu/%zu | replayed %llu (%llu loops,"
                 " %llu dropped)\n",
-                pps / 1e6, bps / 1e9, mips,
-                per_engine.empty() ? " idle" : per_engine.c_str(),
+                pps / 1e6, bps / 1e9, mips, per_engine.c_str(),
                 ring.size(), ring.capacity(),
                 static_cast<unsigned long long>(replayer.packets()),
                 static_cast<unsigned long long>(replayer.loops()),
@@ -102,6 +141,8 @@ class SpeedReporter
     const IngestRing &ring;
     const TraceReplayer &replayer;
     uint32_t intervalMs;
+    uint64_t prevNs;
+    std::vector<Engine> engines;
 
     std::thread thread;
     std::mutex mu;
@@ -125,17 +166,11 @@ PacketBenchd::run(TraceReplayer::SourceFactory source_factory)
     TraceReplayer replayer(std::move(source_factory), ring,
                            cfg.replay);
 
-    // Light the per-packet telemetry gate so the reporter's windowed
-    // rates are fed even without a --stats pump; restore the prior
-    // state (a pump may own it) on every exit path.
-    bool prev_stats = obs::statsEnabled();
-    obs::setStatsEnabled(true);
-
     auto t0 = std::chrono::steady_clock::now();
     std::unique_ptr<SpeedReporter> reporter;
     if (cfg.speedIntervalMs)
         reporter = std::make_unique<SpeedReporter>(
-            ring, replayer, cfg.speedIntervalMs);
+            ring, replayer, mc.numEngines(), cfg.speedIntervalMs);
 
     ServiceResult res;
     replayer.start();
@@ -143,21 +178,22 @@ PacketBenchd::run(TraceReplayer::SourceFactory source_factory)
     try {
         res.mc = mc.run(source, UINT64_MAX);
     } catch (...) {
-        // An engine failed: release the producer (push() observes
-        // the closed ring) and the reporter before rethrowing, so
-        // the process dies from the engine's error, not a hang.
+        // An engine failed: release the producer (pushBatch()
+        // observes the closed ring) and the reporter before
+        // rethrowing, so the process dies from the engine's error,
+        // not a hang.
         ring.close();
         replayer.stop();
         replayer.join();
         if (reporter)
             reporter->stop();
-        obs::setStatsEnabled(prev_stats);
         throw;
     }
 
     // run() came back: either the replayer closed the ring (corpus
     // done) or a shutdown broke the dispatcher loop.  Either way the
-    // producer unblocks promptly (push() polls the shutdown flag).
+    // producer unblocks promptly (pushBatch() polls the shutdown
+    // flag).
     replayer.stop();
     replayer.join();
     if (reporter)
@@ -171,7 +207,6 @@ PacketBenchd::run(TraceReplayer::SourceFactory source_factory)
             std::chrono::steady_clock::now() - t0)
             .count();
     res.shutdownBySignal = shutdownRequested();
-    obs::setStatsEnabled(prev_stats);
     return res;
 }
 

@@ -11,11 +11,11 @@
  *      paced)           buffer)                           workers)
  *
  * plus a speed-reporter thread that prints a periodic console line
- * (Mpps / Gbps / MIPS, aggregate and per engine) from the live
- * telemetry hub (obs/stats.hh).  The reporter raises the per-packet
- * telemetry gate itself, so the daemon shows live rates even when no
- * `--stats` pump is running, and restores the gate's prior state on
- * exit.
+ * (Mpps / Gbps / MIPS, aggregate and per engine).  The rates are
+ * differences between ticks of the since-start totals each engine
+ * keeps in the telemetry hub (obs/stats.hh) on every packet, so the
+ * line needs no per-packet telemetry gate: only a `--stats` pump
+ * raises it.
  *
  * Shutdown: SIGINT/SIGTERM (installed by the binary via
  * common/shutdown.hh) stops the replayer, closes the ring, lets the

@@ -9,6 +9,7 @@
 
 #include "ingest.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -25,74 +26,86 @@ constexpr std::chrono::milliseconds kParkSlice{50};
 } // namespace
 
 IngestRing::IngestRing(size_t capacity)
-    : cap(capacity ? capacity : 1)
+    : slots(capacity ? capacity : 1)
 {
 }
 
-bool
-IngestRing::push(net::Packet &&packet)
+size_t
+IngestRing::enqueueLocked(std::vector<net::Packet> &batch, size_t from)
 {
-    std::unique_lock<std::mutex> lock(mu);
-    while (items.size() >= cap && !closed_) {
-        if (shutdownRequested())
-            return false;
-        notFull.wait_for(lock, kParkSlice);
+    const size_t cap = slots.size();
+    size_t n = std::min(batch.size() - from, cap - count);
+    size_t tail = head + count < cap ? head + count : head + count - cap;
+    for (size_t i = 0; i < n; i++) {
+        slots[tail] = std::move(batch[from + i]);
+        if (++tail == cap)
+            tail = 0;
     }
-    if (closed_ || shutdownRequested())
-        return false;
-    items.push_back(std::move(packet));
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    PB_COUNTER("service.ingest.accepted");
-    lock.unlock();
-    notEmpty.notify_one();
-    return true;
+    count += n;
+    accepted_.fetch_add(n, std::memory_order_relaxed);
+    return n;
 }
 
-bool
-IngestRing::tryPush(net::Packet &&packet)
+size_t
+IngestRing::pushBatch(std::vector<net::Packet> &batch)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (closed_ || items.size() >= cap) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-            PB_COUNTER("service.ingest.dropped");
-            return false;
+    size_t queued = 0;
+    while (queued < batch.size()) {
+        std::unique_lock<std::mutex> lock(mu);
+        while (count == slots.size() && !closed_) {
+            if (shutdownRequested())
+                break;
+            notFull.wait_for(lock, kParkSlice);
         }
-        items.push_back(std::move(packet));
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        PB_COUNTER("service.ingest.accepted");
+        if (closed_ || shutdownRequested())
+            break;
+        queued += enqueueLocked(batch, queued);
+        lock.unlock();
+        notEmpty.notify_all();
     }
-    notEmpty.notify_one();
-    return true;
+    batch.clear();
+    PB_COUNTER_ADD("service.ingest.accepted", queued);
+    return queued;
 }
 
-bool
-IngestRing::pop(net::Packet &out)
+size_t
+IngestRing::tryPushBatch(std::vector<net::Packet> &batch)
 {
-    std::unique_lock<std::mutex> lock(mu);
-    while (items.empty()) {
-        if (closed_)
-            return false;
-        notEmpty.wait_for(lock, kParkSlice);
-    }
-    out = std::move(items.front());
-    items.pop_front();
-    lock.unlock();
-    notFull.notify_one();
-    return true;
-}
-
-bool
-IngestRing::tryPop(net::Packet &out)
-{
+    size_t queued = 0;
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (items.empty())
-            return false;
-        out = std::move(items.front());
-        items.pop_front();
+        if (!closed_)
+            queued = enqueueLocked(batch, 0);
     }
-    notFull.notify_one();
+    if (queued)
+        notEmpty.notify_all();
+    size_t refused = batch.size() - queued;
+    batch.clear();
+    PB_COUNTER_ADD("service.ingest.accepted", queued);
+    dropped_.fetch_add(refused, std::memory_order_relaxed);
+    PB_COUNTER_ADD("service.ingest.dropped", refused);
+    return queued;
+}
+
+bool
+IngestRing::popBatch(std::vector<net::Packet> &out, size_t max)
+{
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        while (count == 0) {
+            if (closed_)
+                return false;
+            notEmpty.wait_for(lock, kParkSlice);
+        }
+        size_t n = std::min(count, std::max<size_t>(max, 1));
+        for (size_t i = 0; i < n; i++) {
+            out.push_back(std::move(slots[head]));
+            if (++head == slots.size())
+                head = 0;
+        }
+        count -= n;
+    }
+    notFull.notify_all();
     return true;
 }
 
@@ -118,16 +131,19 @@ size_t
 IngestRing::size() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return items.size();
+    return count;
 }
 
 std::optional<net::Packet>
 IngestSource::next()
 {
-    net::Packet packet;
-    if (!ring.pop(packet))
-        return std::nullopt;
-    return packet;
+    if (nextLocal == local.size()) {
+        local.clear();
+        nextLocal = 0;
+        if (!ring.popBatch(local))
+            return std::nullopt;
+    }
+    return std::move(local[nextLocal++]);
 }
 
 } // namespace pb::service

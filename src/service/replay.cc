@@ -11,7 +11,9 @@
 
 #include "replay.hh"
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/shutdown.hh"
 #include "obs/metrics.hh"
@@ -58,6 +60,27 @@ void
 TraceReplayer::run()
 {
     TokenBucket bucket(cfg.ratePps, cfg.burst);
+    const size_t batch_max = std::min(IngestRing::maxBatch,
+                                      ring.capacity());
+    std::vector<net::Packet> batch;
+    batch.reserve(batch_max);
+    uint64_t taken = 0; // packets pulled into a batch (maxPackets)
+
+    // Hand the local batch to the ring.  Returns false when a
+    // blocking push was cut short (ring closed under us, or
+    // shutdown); dropped overruns are still offered packets.
+    auto hand_over = [&] {
+        if (batch.empty())
+            return true;
+        size_t n = batch.size();
+        size_t queued = cfg.dropWhenFull ? ring.tryPushBatch(batch)
+                                         : ring.pushBatch(batch);
+        uint64_t offered = cfg.dropWhenFull ? n : queued;
+        sent.fetch_add(offered, std::memory_order_relaxed);
+        PB_COUNTER_ADD("service.replay.packets", offered);
+        return cfg.dropWhenFull || queued == n;
+    };
+
     bool done = false;
     while (!done) {
         std::unique_ptr<net::TraceSource> source = factory();
@@ -66,14 +89,8 @@ TraceReplayer::run()
         bool pass_complete = true;
         for (;;) {
             if (stopRequested.load(std::memory_order_relaxed) ||
-                shutdownRequested()) {
-                done = true;
-                pass_complete = false;
-                break;
-            }
-            if (cfg.maxPackets &&
-                sent.load(std::memory_order_relaxed) >=
-                    cfg.maxPackets) {
+                shutdownRequested() ||
+                (cfg.maxPackets && taken >= cfg.maxPackets)) {
                 done = true;
                 pass_complete = false;
                 break;
@@ -81,22 +98,21 @@ TraceReplayer::run()
             std::optional<net::Packet> packet = source->next();
             if (!packet)
                 break; // corpus exhausted: maybe loop
-            if (!bucket.acquire()) {
-                done = true; // shutdown while pacing
+            // A paced producer hands over what it holds before it
+            // sleeps for a token, so pacing never holds packets back.
+            if (!bucket.tryAcquire() &&
+                (!hand_over() || !bucket.acquire())) {
+                done = true; // ring closed, or shutdown while pacing
                 pass_complete = false;
                 break;
             }
-            bool accepted =
-                cfg.dropWhenFull
-                    ? ring.tryPush(std::move(*packet))
-                    : ring.push(std::move(*packet));
-            if (!accepted && !cfg.dropWhenFull) {
-                done = true; // ring closed under us, or shutdown
+            batch.push_back(std::move(*packet));
+            taken++;
+            if (batch.size() >= batch_max && !hand_over()) {
+                done = true;
                 pass_complete = false;
                 break;
             }
-            sent.fetch_add(1, std::memory_order_relaxed);
-            PB_COUNTER("service.replay.packets");
         }
         if (pass_complete) {
             passes.fetch_add(1, std::memory_order_relaxed);
@@ -105,6 +121,7 @@ TraceReplayer::run()
                 done = true;
         }
     }
+    hand_over();
     ring.close();
 }
 

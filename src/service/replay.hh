@@ -12,11 +12,17 @@
  * ring, which is the end-of-input signal the consumer side
  * (IngestSource) turns into end-of-trace.
  *
+ * Packets travel in batches: the producer fills a local batch of up
+ * to IngestRing::maxBatch packets and hands it over when it is full,
+ * before the token bucket makes it sleep, and before it closes the
+ * ring — so a paced replay never holds a packet back while it waits.
+ * maxPackets and packets() still count single packets.
+ *
  * Overrun policy: by default the replayer blocks on a full ring
  * (back-pressure — no packet is lost, the effective rate degrades to
- * what the engines sustain).  With dropWhenFull it uses tryPush()
- * instead — NIC semantics: the offered rate is held and overruns are
- * counted as drops ("service.ingest.dropped").
+ * what the engines sustain).  With dropWhenFull it uses
+ * tryPushBatch() instead — NIC semantics: the offered rate is held
+ * and overruns are counted as drops ("service.ingest.dropped").
  */
 
 #ifndef PB_SERVICE_REPLAY_HH
@@ -78,7 +84,10 @@ class TraceReplayer
     /** Spawn the producer thread (once). */
     void start();
 
-    /** Ask the producer to finish after the in-flight packet. */
+    /**
+     * Ask the producer to finish: it hands over the packets it holds
+     * and closes the ring.
+     */
     void stop();
 
     /**

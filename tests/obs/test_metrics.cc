@@ -1,12 +1,15 @@
 /**
  * @file
  * Metrics registry tests: counter/gauge/histogram semantics,
- * deterministic snapshots, kind safety, timers, and the macros.
+ * deterministic snapshots, kind safety, striping under concurrent
+ * writers and readers, timers, and the macros.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -186,6 +189,112 @@ TEST(Metrics, CountersAreThreadSafe)
     for (auto &thread : threads)
         thread.join();
     EXPECT_EQ(c.value(), 40'000u);
+}
+
+TEST(Metrics, StripesKeepExactTotalsUnderConcurrentSnapshots)
+{
+    // More writers than stripes, so some threads share a stripe,
+    // while another thread snapshots the registry throughout.  Every
+    // snapshot is self-consistent and never goes backwards, and the
+    // final totals equal a single-threaded reference exactly.
+    constexpr int kWriters = 2 * static_cast<int>(numStripes) + 3;
+    constexpr uint64_t kPerWriter = 4'000;
+    Registry reg;
+    Counter &events = reg.counter("test.events");
+    Histogram &sizes = reg.histogram("test.sizes");
+    auto sample = [](int t, uint64_t i) {
+        // Spans many buckets; writer t owns [t * 2^20, t * 2^20 + N).
+        return (static_cast<uint64_t>(t) << 20) + i * (i % 7);
+    };
+
+    std::atomic<bool> writing{true};
+    std::atomic<int> bad_snapshots{0};
+    std::thread reader([&] {
+        uint64_t last_count = 0, last_events = 0;
+        while (writing.load()) {
+            for (const Registry::Entry &e : reg.snapshot()) {
+                if (e.kind == MetricKind::Counter) {
+                    if (e.counter < last_events)
+                        bad_snapshots++;
+                    last_events = e.counter;
+                    continue;
+                }
+                uint64_t in_buckets = 0;
+                for (uint64_t b : e.hist.buckets)
+                    in_buckets += b;
+                if (in_buckets != e.hist.count ||
+                    e.hist.count < last_count ||
+                    (e.hist.count && e.hist.min > e.hist.max))
+                    bad_snapshots++;
+                last_count = e.hist.count;
+            }
+        }
+    });
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; t++) {
+        writers.emplace_back([&, t] {
+            for (uint64_t i = 0; i < kPerWriter; i++) {
+                events.add(i % 3 + 1);
+                sizes.observe(sample(t, i));
+            }
+        });
+    }
+    for (auto &writer : writers)
+        writer.join();
+    writing.store(false);
+    reader.join();
+
+    Registry ref_reg;
+    Histogram &ref = ref_reg.histogram("ref");
+    uint64_t ref_events = 0;
+    for (int t = 0; t < kWriters; t++) {
+        for (uint64_t i = 0; i < kPerWriter; i++) {
+            ref_events += i % 3 + 1;
+            ref.observe(sample(t, i));
+        }
+    }
+    EXPECT_EQ(bad_snapshots.load(), 0);
+    EXPECT_EQ(events.value(), ref_events);
+    Histogram::Snapshot got = sizes.snapshot();
+    Histogram::Snapshot want = ref.snapshot();
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.sum, want.sum);
+    EXPECT_EQ(got.min, want.min);
+    EXPECT_EQ(got.max, want.max);
+    EXPECT_EQ(got.buckets, want.buckets);
+}
+
+TEST(Metrics, ResetZeroesEveryStripe)
+{
+    // Threads take stripes round-robin, so numStripes threads started
+    // one after another write every stripe between them.
+    Registry reg;
+    Counter &c = reg.counter("test.c");
+    Histogram &h = reg.histogram("test.h");
+    for (size_t t = 0; t < numStripes; t++) {
+        std::thread([&, t] {
+            c.add(t + 1);
+            h.observe(1000 * (t + 1));
+        }).join();
+    }
+    EXPECT_EQ(c.value(), numStripes * (numStripes + 1) / 2);
+    EXPECT_EQ(h.snapshot().count, numStripes);
+
+    reg.reset();
+    EXPECT_EQ(c.value(), 0u);
+    Histogram::Snapshot empty = h.snapshot();
+    EXPECT_EQ(empty.count, 0u);
+    EXPECT_EQ(empty.sum, 0u);
+    EXPECT_EQ(empty.max, 0u);
+    EXPECT_TRUE(empty.buckets.empty());
+
+    // A small sample after reset is the new minimum on every stripe.
+    for (size_t t = 0; t < numStripes; t++)
+        std::thread([&] { h.observe(3); }).join();
+    Histogram::Snapshot after = h.snapshot();
+    EXPECT_EQ(after.count, numStripes);
+    EXPECT_EQ(after.min, 3u);
+    EXPECT_EQ(after.max, 3u);
 }
 
 TEST(Metrics, ScopedTimerAccumulates)

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/packetbench.hh"
 #include "isa/assembler.hh"
@@ -139,6 +143,25 @@ TEST(RunReport, HistogramsSerializeDistribution)
         prev_le = bucket.at("le").asNumber();
     }
     EXPECT_EQ(in_buckets, count);
+}
+
+TEST(RunReport, GitStampDoesNotDependOnWorkingDirectory)
+{
+    // The stamp is taken when the build is configured, so a report
+    // written from a directory outside any repository still names
+    // the tree the binary was built from.
+    std::string here = gitDescribe();
+    ASSERT_FALSE(here.empty());
+    std::filesystem::path cwd = std::filesystem::current_path();
+    std::filesystem::path elsewhere =
+        std::filesystem::temp_directory_path() /
+        ("pb_report_cwd_" + std::to_string(getpid()));
+    std::filesystem::create_directories(elsewhere);
+    std::filesystem::current_path(elsewhere);
+    std::string there = gitDescribe();
+    std::filesystem::current_path(cwd);
+    std::filesystem::remove_all(elsewhere);
+    EXPECT_EQ(there, here);
 }
 
 TEST(RunReport, FileWriterIsFatalOnBadPath)

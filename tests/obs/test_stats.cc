@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -239,8 +241,8 @@ TEST(StatsPump, PromSuccessCountsWritesAndLeavesNoTempFile)
 
 TEST(StatsPump, SetStatsEnabledControlsGateWithoutPump)
 {
-    // The daemon's speed reporter lights the per-packet gate without
-    // a pump; the toggle must be visible and restorable.
+    // Overhead probes flip the per-packet gate without a pump; the
+    // toggle must be visible and restorable.
     ASSERT_FALSE(statsEnabled());
     setStatsEnabled(true);
     EXPECT_TRUE(statsEnabled());
@@ -274,21 +276,53 @@ loop:
     }
 };
 
+TEST(EngineTelemetry, TotalsCountEveryPacketWithTheGateDown)
+{
+    // The daemon's speed line reads these totals, so they must be
+    // fed on every packet even when no pump raised the gate.
+    ASSERT_FALSE(statsEnabled());
+    HeaderApp app;
+    core::BenchConfig cfg;
+    cfg.engineId = 4242; // a record no other test writes
+    core::PacketBench bench(app, cfg);
+    EngineTelemetry &telem = Telemetry::instance().engine(4242);
+    net::SyntheticTrace trace(net::Profile::LAN, 200, 3);
+    uint64_t insts = 0, bytes = 0;
+    while (auto packet = trace.next()) {
+        bytes += packet->l3Len();
+        insts += bench.processPacket(*packet).stats.instCount;
+    }
+    EXPECT_EQ(telem.totals.packets.load(), 200u);
+    EXPECT_EQ(telem.totals.insts.load(), insts);
+    EXPECT_EQ(telem.totals.bytes.load(), bytes);
+    EXPECT_EQ(telem.packets.total(), 0u)
+        << "windowed rates stay behind the gate";
+    telem.reset();
+    EXPECT_EQ(telem.totals.packets.load(), 0u);
+}
+
+/** The packets every timed loop replays, made before any timing. */
+std::vector<net::Packet>
+makePackets(uint32_t count)
+{
+    net::SyntheticTrace trace(net::Profile::MRA, count, 11);
+    std::vector<net::Packet> packets;
+    while (auto packet = trace.next())
+        packets.push_back(std::move(*packet));
+    return packets;
+}
+
 uint64_t
-timePacketLoop(core::PacketBench &bench, uint32_t packets,
+timePacketLoop(core::PacketBench &bench, std::span<net::Packet> packets,
                bool extra_telemetry)
 {
-    net::SyntheticTrace trace(net::Profile::MRA, packets, 11);
     EngineTelemetry &telem = Telemetry::instance().engine(777);
     FlowId id;
     id.src = 0x0a0a0a0a;
     id.proto = 6;
     uint64_t fake_now = telemetryNowNs();
     auto start = std::chrono::steady_clock::now();
-    for (uint32_t i = 0; i < packets; i++) {
-        auto packet = trace.next();
-        if (!packet)
-            break;
+    for (size_t i = 0; i < packets.size(); i++) {
         if (extra_telemetry) {
             // The marginal cost under test: another copy of the
             // per-packet telemetry hook, gated exactly like the one
@@ -299,9 +333,9 @@ timePacketLoop(core::PacketBench &bench, uint32_t packets,
                 telem.record(fake_now, 100, 64, false);
                 telem.topk.observe(i, id, 64, false);
             }
-            bench.processPacket(*packet);
+            bench.processPacket(packets[i]);
         } else {
-            bench.processPacket(*packet);
+            bench.processPacket(packets[i]);
         }
     }
     return static_cast<uint64_t>(
@@ -316,29 +350,42 @@ TEST(StatsOverhead, DisabledTelemetryStaysUnderTwoPercent)
     HeaderApp app;
     core::PacketBench bench(app, {});
 
-    constexpr uint32_t packets = 1'500;
-    constexpr int trials = 6;
+    // The handler only reads its packet, so every loop replays the
+    // same pre-generated packets: trace generation and its
+    // allocations stay out of the timed region.
+    std::vector<net::Packet> packets = makePackets(1'500);
     // Warm-up: fault in code paths, caches, and the first-touch cost
     // of simulated memory before timing anything.
     timePacketLoop(bench, packets, false);
 
-    uint64_t base_min = UINT64_MAX, extra_min = UINT64_MAX;
-    for (int t = 0; t < trials; t++) {
-        base_min =
-            std::min(base_min, timePacketLoop(bench, packets, false));
-        extra_min = std::min(extra_min,
-                             timePacketLoop(bench, packets, true));
+    // Each pair times one 300-packet slice without and with the
+    // extra hook back to back, alternating which runs first, so both
+    // halves of a pair see the same host load.  The median ratio
+    // over the pairs ignores the pairs a preemption or a busy
+    // sibling core landed in, where the minimum time of each loop
+    // would compare two different quiet moments.
+    constexpr size_t slice = 300;
+    constexpr int pairs = 200;
+    std::vector<double> ratios;
+    for (int p = 0; p < pairs; p++) {
+        std::span<net::Packet> part(
+            packets.data() + (p % (packets.size() / slice)) * slice,
+            slice);
+        uint64_t ns[2] = {};
+        for (bool extra : {p % 2 == 0, p % 2 != 0})
+            ns[extra] = timePacketLoop(bench, part, extra);
+        ratios.push_back(static_cast<double>(ns[1]) /
+                         static_cast<double>(ns[0]));
     }
-
-    double overhead = static_cast<double>(extra_min) /
-                          static_cast<double>(base_min) -
-                      1.0;
+    std::nth_element(ratios.begin(), ratios.begin() + pairs / 2,
+                     ratios.end());
+    double overhead = ratios[pairs / 2] - 1.0;
     // <2% is the acceptance bound; a windowed record is a handful of
     // relaxed atomic adds against a multi-microsecond simulated
     // packet, and the flow gate is one relaxed load and a branch.
     EXPECT_LT(overhead, 0.02)
-        << "base " << base_min << " ns vs extra " << extra_min
-        << " ns";
+        << "median extra/base time ratio " << ratios[pairs / 2]
+        << " over " << pairs << " pairs";
 }
 
 } // namespace

@@ -2,21 +2,27 @@
  * @file
  * PacketBenchd tests: end-to-end corpus processing through the
  * ingest ring, equivalence of the ring path with the direct batch
- * path (including Stealing dispatch against the serial oracle), and
- * shutdown-driven termination of a looped service.
+ * path (including Stealing dispatch against the serial oracle),
+ * shutdown-driven termination of a looped service, and the console
+ * speed line running without the telemetry gate.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "apps/flow_class.hh"
 #include "common/shutdown.hh"
 #include "core/multicore.hh"
 #include "net/tracegen.hh"
+#include "obs/stats.hh"
 #include "service/daemon.hh"
 
 namespace
@@ -164,6 +170,55 @@ TEST_F(PacketBenchdTest, MaxPacketsBoundsALoopedService)
     EXPECT_EQ(res.mc.totalPackets, 900u);
     EXPECT_GE(res.loops, 2u);
     EXPECT_FALSE(res.shutdownBySignal);
+}
+
+TEST_F(PacketBenchdTest, SpeedLineShowsRatesWithoutTheTelemetryGate)
+{
+    // The console speed line differences the engines' since-start
+    // totals, so a run without --stats must print live, non-zero
+    // rates while the per-packet telemetry gate stays down.  The
+    // source factory runs on the replayer thread once per pass, so
+    // it samples the gate while the engines run.
+    ASSERT_FALSE(obs::statsEnabled());
+    ServiceConfig cfg;
+    cfg.engines = 2;
+    cfg.bench.parallel = true;
+    cfg.speedIntervalMs = 20;
+    cfg.replay.ratePps = 20'000;
+    cfg.replay.loop = true;
+    cfg.replay.maxPackets = 6'000; // about 300 ms at the offered rate
+    PacketBenchd daemon(flowFactory(256), cfg);
+    std::atomic<bool> gate_seen{false};
+    std::atomic<int> passes{0};
+    testing::internal::CaptureStderr();
+    ServiceResult res = daemon.run(
+        [&]() -> std::unique_ptr<net::TraceSource> {
+            if (obs::statsEnabled())
+                gate_seen.store(true);
+            passes.fetch_add(1);
+            return std::make_unique<net::SyntheticTrace>(
+                net::Profile::LAN, 400, 5);
+        });
+    std::string err = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(res.mc.totalPackets, 6'000u);
+    EXPECT_GE(passes.load(), 15);
+    EXPECT_FALSE(gate_seen.load())
+        << "the daemon raised the per-packet telemetry gate";
+    EXPECT_FALSE(obs::statsEnabled());
+    int lines = 0;
+    double best_mpps = 0.0;
+    std::istringstream in(err);
+    for (std::string line; std::getline(in, line);) {
+        double mpps = 0.0;
+        if (std::sscanf(line.c_str(), "[packetbenchd] %lf Mpps",
+                        &mpps) == 1) {
+            lines++;
+            best_mpps = std::max(best_mpps, mpps);
+        }
+    }
+    EXPECT_GT(lines, 0) << err;
+    EXPECT_GT(best_mpps, 0.0) << err;
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
  * TraceReplayer tests: one-pass replay, looped replay bounded by
- * maxPackets, stop() on an infinite loop, and pacing.
+ * maxPackets, stop() on an infinite loop, pacing, and the batch
+ * hand-off before each wait for a token.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/shutdown.hh"
 #include "net/tracegen.hh"
@@ -35,9 +37,11 @@ uint64_t
 drain(IngestRing &ring)
 {
     uint64_t n = 0;
-    net::Packet out;
-    while (ring.pop(out))
-        n++;
+    std::vector<net::Packet> out;
+    while (ring.popBatch(out)) {
+        n += out.size();
+        out.clear();
+    }
     return n;
 }
 
@@ -86,9 +90,7 @@ TEST_F(TraceReplayerTest, StopEndsAnInfiniteLoop)
 
     std::atomic<uint64_t> drained{0};
     std::thread consumer([&] {
-        net::Packet out;
-        while (ring.pop(out))
-            drained.fetch_add(1, std::memory_order_relaxed);
+        drained.store(drain(ring), std::memory_order_relaxed);
     });
     // Let it loop a few passes, then ask it to finish.
     while (replayer.loops() < 2)
@@ -121,6 +123,35 @@ TEST_F(TraceReplayerTest, RatePacesOfferedPackets)
     EXPECT_EQ(drained, 300u);
     EXPECT_GT(elapsed, 0.050);
     EXPECT_LT(elapsed, 5.0);
+}
+
+TEST_F(TraceReplayerTest, PacedReplayHandsOverBeforeWaitingForTokens)
+{
+    // At 200 pps with burst 1 a token comes every 5 ms.  The
+    // replayer batches packets, but hands its batch over before each
+    // wait for a token, so about 30 packets reach the consumer in
+    // 150 ms; one that only handed over full 64-packet batches would
+    // deliver none.
+    ReplayConfig cfg;
+    cfg.ratePps = 200;
+    cfg.burst = 1;
+    cfg.loop = true;
+    IngestRing ring(4096);
+    TraceReplayer replayer(lanCorpus(500), ring, cfg);
+    IngestSource source(ring);
+    std::atomic<uint64_t> delivered{0};
+    replayer.start();
+    std::thread consumer([&] {
+        while (source.next())
+            delivered.fetch_add(1, std::memory_order_relaxed);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    uint64_t seen = delivered.load(std::memory_order_relaxed);
+    replayer.stop();
+    replayer.join();
+    consumer.join();
+    EXPECT_GE(seen, 20u);
+    EXPECT_EQ(delivered.load(), replayer.packets());
 }
 
 TEST_F(TraceReplayerTest, ShutdownRequestEndsLoopedReplay)
