@@ -94,8 +94,6 @@ PacketBench::PacketBench(Application &app_, BenchConfig cfg_)
     if (cfg.profile) {
         prof = std::make_unique<obs::HotSpotProfiler>(cpu.program(),
                                                       *blockMap);
-        // Ahead of the timer, so cycle attribution sees each
-        // instruction before its cost is accounted.
         fanout.add(prof.get());
     }
     if (cfg.timing) {
@@ -359,8 +357,6 @@ PacketBench::processPacket(net::Packet &packet)
                 .count());
         sim::PacketStats stats = rec->endPacket();
         uint64_t cycles = timer ? timer->cyclesSinceMark() : 0;
-        if (prof)
-            prof->flush();
         cpu.setObserver(nullptr);
         cpu.resetRegs();
         if (cfg.faultPolicy == FaultPolicy::Abort)
@@ -388,8 +384,6 @@ PacketBench::processPacket(net::Packet &packet)
     outcome.stats = rec->endPacket();
     if (timer)
         outcome.cycles = timer->cyclesSinceMark();
-    if (prof)
-        prof->flush();
     cpu.setObserver(nullptr);
 
     outcome.verdict = result.stopCode;

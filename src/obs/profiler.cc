@@ -25,11 +25,8 @@ void
 HotSpotProfiler::attachTimer(const sim::PipelineTimer *timer_)
 {
     timer = timer_;
-    if (timer) {
-        perPcCycles.assign(prog.words.size(), 0);
-        lastCycles = timer->cycles();
-        havePrev = false;
-    }
+    if (timer)
+        cycleBase = timer->slotCycles();
 }
 
 size_t
@@ -42,42 +39,28 @@ HotSpotProfiler::indexOf(uint32_t addr) const
     return index;
 }
 
-void
-HotSpotProfiler::onInst(uint32_t addr, const isa::Inst &inst)
+uint64_t
+HotSpotProfiler::cyclesAt(size_t index) const
 {
-    (void)inst;
-    size_t index = indexOf(addr);
-    perPcInsts[index]++;
-    total++;
-
-    const sim::BasicBlock &block =
-        blockMap.block(blockMap.blockOf(addr));
-    if (addr == block.startAddr)
-        blockEntries[block.id]++;
-
-    if (timer) {
-        // The timer has finished accounting the *previous*
-        // instruction (it runs after us in the fanout), so the
-        // cycles accumulated since our last observation are its
-        // full cost.
-        uint64_t now = timer->cycles();
-        if (havePrev)
-            perPcCycles[lastIndex] += now - lastCycles;
-        lastCycles = now;
-        lastIndex = index;
-        havePrev = true;
-    }
+    if (!timer)
+        return perPcInsts[index];
+    const std::vector<uint64_t> &now = timer->slotCycles();
+    return (index < now.size() ? now[index] : 0) -
+           (index < cycleBase.size() ? cycleBase[index] : 0);
 }
 
 void
-HotSpotProfiler::flush()
+HotSpotProfiler::onRun(const sim::RunEvent &run)
 {
-    if (!timer || !havePrev)
-        return;
-    uint64_t now = timer->cycles();
-    perPcCycles[lastIndex] += now - lastCycles;
-    lastCycles = now;
-    havePrev = false;
+    for (uint32_t i = 0; i < run.n; i++) {
+        const uint32_t addr = run.pcAt(i);
+        perPcInsts[indexOf(addr)]++;
+        const sim::BasicBlock &block =
+            blockMap.block(blockMap.blockOf(addr));
+        if (addr == block.startAddr)
+            blockEntries[block.id]++;
+    }
+    total += run.n;
 }
 
 uint64_t
@@ -89,19 +72,15 @@ HotSpotProfiler::instCount(uint32_t addr) const
 uint64_t
 HotSpotProfiler::cycleCount(uint32_t addr) const
 {
-    size_t index = indexOf(addr);
-    return perPcCycles.empty() ? perPcInsts[index]
-                               : perPcCycles[index];
+    return cyclesAt(indexOf(addr));
 }
 
 uint64_t
 HotSpotProfiler::totalCycles() const
 {
-    if (perPcCycles.empty())
-        return total;
     uint64_t cycles = 0;
-    for (uint64_t c : perPcCycles)
-        cycles += c;
+    for (size_t i = 0; i < perPcInsts.size(); i++)
+        cycles += cyclesAt(i);
     return cycles;
 }
 
@@ -120,9 +99,7 @@ HotSpotProfiler::rankedBlocks() const
         size_t first = (block.startAddr - prog.baseAddr) / 4;
         for (uint32_t i = 0; i < block.numInsts; i++) {
             profile.insts += perPcInsts[first + i];
-            profile.cycles += perPcCycles.empty()
-                                  ? perPcInsts[first + i]
-                                  : perPcCycles[first + i];
+            profile.cycles += cyclesAt(first + i);
         }
         if (profile.insts)
             ranked.push_back(profile);
@@ -149,7 +126,7 @@ HotSpotProfiler::render(size_t top_blocks) const
         "%zu of %u blocks executed\n",
         static_cast<unsigned long long>(total),
         static_cast<unsigned long long>(cycles),
-        perPcCycles.empty() ? " (CPI 1, no timing model)" : "",
+        timer ? "" : " (CPI 1, no timing model)",
         ranked.size(), blockMap.numBlocks());
     if (total == 0)
         return out;
@@ -191,9 +168,7 @@ HotSpotProfiler::render(size_t top_blocks) const
                 "  0x%08x %10llu %10llu  %s\n", addr,
                 static_cast<unsigned long long>(
                     perPcInsts[first + w]),
-                static_cast<unsigned long long>(
-                    perPcCycles.empty() ? perPcInsts[first + w]
-                                        : perPcCycles[first + w]),
+                static_cast<unsigned long long>(cyclesAt(first + w)),
                 isa::disassemble(inst, addr).c_str());
         }
     }
@@ -204,12 +179,10 @@ void
 HotSpotProfiler::reset()
 {
     std::fill(perPcInsts.begin(), perPcInsts.end(), 0);
-    std::fill(perPcCycles.begin(), perPcCycles.end(), 0);
     std::fill(blockEntries.begin(), blockEntries.end(), 0);
     total = 0;
-    havePrev = false;
     if (timer)
-        lastCycles = timer->cycles();
+        cycleBase = timer->slotCycles();
 }
 
 } // namespace pb::obs

@@ -11,14 +11,15 @@
  * the hot inner loops (e.g. the radix-walk vs. trie-step bodies) with
  * exact instruction counts and annotated disassembly.
  *
- * When a PipelineTimer observes the same execution stream *after*
- * the profiler in the fanout, attachTimer() additionally attributes
- * modeled cycles to each PC: the timer cycles that accumulate
- * between two consecutive profiler observations are exactly the
- * previous instruction's base cost plus its stall penalties, and are
- * charged to it (call flush() at the end of a run to attribute the
- * final instruction).  Without a timer the cycle columns equal the
- * instruction counts (CPI 1).
+ * The profiler hears straight-line runs and counts each executed
+ * instruction of a run at its pc.  When a PipelineTimer observes the
+ * same execution stream, attachTimer() additionally attributes
+ * modeled cycles to each PC: the timer charges every instruction's
+ * full cost (base, stalls, miss and mispredict penalties) to its
+ * program slot, and the profiler reports those per-slot cycles
+ * accumulated since it attached, so the order of the two observers
+ * in a fan-out does not matter.  Without a timer the cycle columns
+ * equal the instruction counts (CPI 1).
  */
 
 #ifndef PB_OBS_PROFILER_HH
@@ -48,19 +49,12 @@ class HotSpotProfiler : public sim::ExecObserver
 
     /**
      * Attribute modeled cycles from @p timer (may be nullptr to
-     * detach).  The timer must observe the same execution stream and
-     * must sit *after* this profiler in the fanout order.
+     * detach), counted from now on.  The timer must observe the same
+     * execution stream of the same program.
      */
     void attachTimer(const sim::PipelineTimer *timer);
 
-    /**
-     * Attribute any cycles still pending for the last observed
-     * instruction (end-of-run bookkeeping; harmless without a
-     * timer).
-     */
-    void flush();
-
-    void onInst(uint32_t addr, const isa::Inst &inst) override;
+    void onRun(const sim::RunEvent &run) override;
 
     /** Executions of the instruction at @p addr. */
     uint64_t instCount(uint32_t addr) const;
@@ -103,21 +97,18 @@ class HotSpotProfiler : public sim::ExecObserver
 
   private:
     size_t indexOf(uint32_t addr) const;
+    /** Cycles attributed to word offset @p index. */
+    uint64_t cyclesAt(size_t index) const;
 
     const isa::Program &prog;
     const sim::BlockMap &blockMap;
     const sim::PipelineTimer *timer = nullptr;
 
     std::vector<uint64_t> perPcInsts;  ///< indexed by word offset
-    std::vector<uint64_t> perPcCycles; ///< empty until a timer ticks
     std::vector<uint64_t> blockEntries;
+    /** The timer's slotCycles() when attached or last reset. */
+    std::vector<uint64_t> cycleBase;
     uint64_t total = 0;
-
-    // Cycle attribution state: charge the delta observed at inst N+1
-    // to inst N.
-    uint64_t lastCycles = 0;
-    size_t lastIndex = 0;
-    bool havePrev = false;
 };
 
 } // namespace pb::obs

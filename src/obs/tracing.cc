@@ -392,46 +392,58 @@ traceCounter(const char *category, const char *name, uint64_t value)
     emitSimple(TracePhase::Counter, category, name, &arg, 1);
 }
 
-void
-NpeTraceSampler::onInst(uint32_t addr, const isa::Inst &inst)
+namespace
 {
-    (void)inst;
-    if (traceEnabled())
-        traceCounter("npe", "npe.pc", addr);
-}
 
-void
-NpeTraceSampler::onMemAccess(const sim::MemAccessEvent &event)
+/**
+ * The counter series of an access to @p region: one per region, so
+ * packet vs. non-packet access sequences (paper Fig. 9) separate into
+ * distinct tracks.
+ */
+const char *
+npeMemSeries(sim::MemRegion region)
 {
-    if (!traceEnabled())
-        return;
-    // One counter series per region so packet vs. non-packet access
-    // sequences (paper Fig. 9) separate into distinct tracks.
-    const char *name;
-    switch (event.region) {
+    switch (region) {
       case sim::MemRegion::Packet:
-        name = "npe.mem.packet";
-        break;
+        return "npe.mem.packet";
       case sim::MemRegion::Data:
-        name = "npe.mem.data";
-        break;
+        return "npe.mem.data";
       case sim::MemRegion::Stack:
-        name = "npe.mem.stack";
-        break;
+        return "npe.mem.stack";
       default:
-        name = "npe.mem.other";
-        break;
+        return "npe.mem.other";
     }
-    traceCounter("npe", name, event.addr);
+}
+
+} // namespace
+
+void
+NpeTraceSampler::onMemAccessAt(const sim::MemAccessEvent &event,
+                               uint32_t offsetInRun)
+{
+    pending.emplace_back(offsetInRun, event);
 }
 
 void
-NpeTraceSampler::onBranch(uint32_t addr, bool taken, uint32_t target)
+NpeTraceSampler::onRun(const sim::RunEvent &run)
 {
-    if (traceEnabled())
-        traceInstant("npe", taken ? "npe.branch.taken"
-                                  : "npe.branch.not_taken",
-                     "target", taken ? target : addr + 4);
+    if (traceEnabled()) {
+        auto access = pending.begin();
+        for (uint32_t i = 0; i < run.n; i++) {
+            traceCounter("npe", "npe.pc", run.pcAt(i));
+            for (; access != pending.end() && access->first == i; ++access)
+                traceCounter("npe", npeMemSeries(access->second.region),
+                             access->second.addr);
+        }
+        if (run.endsInBranch()) {
+            const uint32_t addr = run.pcAt(run.n - 1);
+            traceInstant("npe",
+                         run.taken ? "npe.branch.taken"
+                                   : "npe.branch.not_taken",
+                         "target", run.taken ? run.target : addr + 4);
+        }
+    }
+    pending.clear();
 }
 
 } // namespace pb::obs

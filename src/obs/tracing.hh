@@ -332,7 +332,9 @@ void traceCounter(const char *category, const char *name,
  * ExecObserver that streams a sampled packet's NPE32 execution into
  * the tracer: a "npe.pc" counter series (the instruction timeline),
  * per-region "npe.mem.*" counter series of accessed addresses (the
- * paper's Fig. 9 access sequences), and "npe.branch" instants.
+ * paper's Fig. 9 access sequences), and "npe.branch" instants.  Each
+ * run's events are emitted when the run is delivered, in execution
+ * order: every instruction's pc, then its access.
  * PacketBench attaches it only for sampled packets
  * (Tracer::npeSamplePeriod), so the interpreter's hot loop pays
  * nothing for unsampled packets.
@@ -340,10 +342,13 @@ void traceCounter(const char *category, const char *name,
 class NpeTraceSampler : public sim::ExecObserver
 {
   public:
-    void onInst(uint32_t addr, const isa::Inst &inst) override;
-    void onMemAccess(const sim::MemAccessEvent &event) override;
-    void onBranch(uint32_t addr, bool taken,
-                  uint32_t target) override;
+    void onRun(const sim::RunEvent &run) override;
+    void onMemAccessAt(const sim::MemAccessEvent &event,
+                       uint32_t offsetInRun) override;
+
+  private:
+    /** Accesses of the run the next onRun() delivers, in order. */
+    std::vector<std::pair<uint32_t, sim::MemAccessEvent>> pending;
 };
 
 } // namespace pb::obs

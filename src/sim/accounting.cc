@@ -50,19 +50,6 @@ PacketRecorder::TouchMap::markBytes(uint32_t off, uint32_t len)
 }
 
 void
-PacketRecorder::onInst(uint32_t addr, const isa::Inst &inst)
-{
-    current.instCount++;
-    totalInsts_++;
-    classCounts_[static_cast<size_t>(isa::opInfo(inst.op).cls)]++;
-    uint32_t word = (addr - progBase) / 4;
-    if (word < progWords)
-        stampWord(word);
-    if (cfg.instTrace)
-        current.instTrace.push_back(addr);
-}
-
-void
 PacketRecorder::traceAccess(const MemAccessEvent &event,
                             uint64_t instIndex)
 {
@@ -135,7 +122,7 @@ PacketRecorder::coverRun(uint32_t slot)
         return;
     if (wordStamps || cfg.blockSets) {
         // Skips words already stamped one by one, and lists blocks
-        // in the order the per-instruction path lists them.
+        // in the order their instructions executed.
         for (uint32_t w = slot; w < covered; w++)
             stampWord(w);
     } else {

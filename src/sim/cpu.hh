@@ -3,11 +3,10 @@
  * NPE32 processor core interpreter.
  *
  * This is the PacketBench equivalent of the paper's SimpleScalar
- * processor simulator: it executes one application program at
- * instruction granularity and reports every executed instruction,
- * memory access, and branch outcome to an ExecObserver (a lone
- * accounting PacketRecorder hears of instructions per straight-line
- * run instead).  The framework attaches an observer only while
+ * processor simulator: it executes one application program and
+ * reports what executed to an ExecObserver, one straight-line run at
+ * a time, with each data-memory access and the outcome of the branch
+ * that ends the run.  The framework attaches an observer only while
  * application code runs, which implements the paper's *selective
  * accounting*.
  *
@@ -17,13 +16,14 @@
  *    carries, per instruction slot, the straight-line run length to
  *    the next control-flow/SYS instruction.  Fetch-bounds, alignment,
  *    and budget checks hoist to once per run instead of once per
- *    instruction, and the inner loop is specialized on the observer:
- *    none (no calls at all), the accounting PacketRecorder alone
- *    (charged once per run, plus once per memory access), or any
- *    other observer (one virtual call per event).
+ *    instruction.  One loop body is instantiated per observer type:
+ *    none (events compile out), the accounting PacketRecorder alone
+ *    (inline, non-virtual calls), or any other observer (virtual
+ *    calls).
  *  - DispatchMode::Reference: the plain one-instruction-at-a-time
  *    loop, kept as the semantic reference for differential tests and
- *    as the debugger's single-step primitive (runSliceRef).
+ *    as the debugger's single-step primitive (runSliceRef).  It
+ *    reports each instruction as a one-instruction run.
  *
  * Every data access resolves its memory region exactly once: the
  * region rides along with the loaded/stored value into the observer
@@ -55,34 +55,63 @@ struct MemAccessEvent
 };
 
 /**
- * Receives the full execution stream of a simulated program.
- * Default implementations ignore everything, so collectors override
- * only what they need.
+ * The instructions of one straight-line run that reached execution.
+ * A run is @c len slots long, from program slot @c slot up to and
+ * including the next control-flow, SYS or undecodable slot (or the
+ * program end); its first @c n instructions executed.  That is the
+ * whole run (n == len), or the prefix of a run that the budget clipped
+ * or whose memory access faulted (the faulting instruction included).
+ * n is 0 for a run whose only slot is undecodable.
+ */
+struct RunEvent
+{
+    const isa::Inst *insts; ///< the CPU's decode of slot, slot + 1, ...
+    uint32_t slot;          ///< program slot of insts[0]
+    uint32_t pc;            ///< address of insts[0]
+    uint32_t len;           ///< slots to the terminator, inclusive
+    uint32_t n;             ///< instructions that executed, <= len
+    /** insts[n - 1] sent control to @c target: a taken branch or a jump. */
+    bool taken;
+    uint32_t target;
+
+    /** Address of the instruction @p i slots into the run. */
+    uint32_t pcAt(uint32_t i) const { return pc + i * 4; }
+
+    /** insts[n - 1] is a conditional branch; @c taken is its outcome. */
+    bool
+    endsInBranch() const
+    {
+        return n != 0 && isa::opInfo(insts[n - 1].op).cls ==
+                             isa::InstClass::Branch;
+    }
+};
+
+/**
+ * Receives the execution stream of a simulated program, one
+ * straight-line run at a time.  Default implementations ignore
+ * everything, so collectors override only what they need.
  */
 class ExecObserver
 {
   public:
     virtual ~ExecObserver() = default;
 
-    /** An instruction at @p addr is about to execute. */
-    virtual void onInst(uint32_t addr, const isa::Inst &inst)
-    {
-        (void)addr;
-        (void)inst;
-    }
+    /**
+     * The first run.n instructions of a straight-line run executed.
+     * Delivered after them, so it also covers an instruction whose
+     * memory access faulted (that access is not delivered).
+     */
+    virtual void onRun(const RunEvent &run) { (void)run; }
 
-    /** The current instruction performed a data-memory access. */
-    virtual void onMemAccess(const MemAccessEvent &event)
+    /**
+     * A data access by the instruction @p offsetInRun slots into the
+     * run that the next onRun() delivers.
+     */
+    virtual void
+    onMemAccessAt(const MemAccessEvent &event, uint32_t offsetInRun)
     {
         (void)event;
-    }
-
-    /** A conditional branch at @p addr resolved. */
-    virtual void onBranch(uint32_t addr, bool taken, uint32_t target)
-    {
-        (void)addr;
-        (void)taken;
-        (void)target;
+        (void)offsetInRun;
     }
 
     /**
@@ -97,9 +126,8 @@ class ExecObserver
     /**
      * Non-null when this observer IS the accounting PacketRecorder
      * (a final class).  The CPU resolves this at attach time so the
-     * block-stepped loop can charge the recorder once per
-     * straight-line run, through inline non-virtual calls, in the
-     * common one-recorder configuration.
+     * block-stepped loop can charge the recorder through inline
+     * non-virtual calls in the common one-recorder configuration.
      */
     virtual PacketRecorder *asRecorder() { return nullptr; }
 };
@@ -235,22 +263,16 @@ class Cpu
     /**
      * The block-stepped loop, templated on the concrete observer
      * type: a no-op observer (events compile out), the final
-     * PacketRecorder (charged per run through its inline onRun() and
-     * onMemAccessAt()), or plain ExecObserver (one virtual call per
-     * event).
+     * PacketRecorder (inline onRun() and onMemAccessAt()), or plain
+     * ExecObserver (virtual calls).
      */
     template <typename ObsT>
     RunResult runBlocked(uint32_t entry, uint64_t max_insts,
                          ObsT *o);
 
-    /** Resolve + read for a load; region reported for the observer. */
-    uint32_t loadValue(const isa::Inst &inst, uint32_t &addr,
-                       uint8_t &size, MemRegion &region);
-    /** Resolve + write for a store. */
-    void storeValue(const isa::Inst &inst, uint32_t &addr,
-                    uint8_t &size, MemRegion &region);
-
+    /** Resolve, read and report a load (reference loop). */
     uint32_t load(const isa::Inst &inst);
+    /** Resolve, write and report a store (reference loop). */
     void store(const isa::Inst &inst);
 };
 

@@ -7,10 +7,13 @@
 
 #include "memory.hh"
 
+#include <cerrno>
 #include <cstring>
 #include <new>
 
 #include <sys/mman.h>
+
+#include "common/logging.hh"
 
 namespace pb::sim
 {
@@ -73,8 +76,6 @@ Memory::Memory()
             throw std::bad_alloc();
         }
         next += guardBytes;
-        dirtyLo[r] = layout::regionSize[r];
-        dirtyHi[r] = 0;
     }
 }
 
@@ -133,14 +134,9 @@ Memory::fill(uint32_t addr, uint32_t len, uint8_t value)
 void
 Memory::reset()
 {
-    // Re-zero only what was written since the last reset.
-    for (unsigned r = 0; r < layout::numRegions; r++) {
-        if (dirtyLo[r] < dirtyHi[r])
-            std::memset(store[r] + dirtyLo[r], 0,
-                        dirtyHi[r] - dirtyLo[r]);
-        dirtyLo[r] = layout::regionSize[r];
-        dirtyHi[r] = 0;
-    }
+    // A private anonymous mapping refills dropped pages with zeroes.
+    if (madvise(store[0], mappingBytes, MADV_DONTNEED) != 0)
+        panic("Memory::reset: madvise failed: %s", std::strerror(errno));
 }
 
 } // namespace pb::sim

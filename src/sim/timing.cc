@@ -21,13 +21,12 @@ PipelineTimer::PipelineTimer(TimingParams params)
       predictor()
 {}
 
-void
-PipelineTimer::onInst(uint32_t addr, const isa::Inst &inst)
+uint64_t
+PipelineTimer::issueCycles(uint32_t addr, const isa::Inst &inst)
 {
-    insts_++;
-    cycles_++;
+    uint64_t cycles = 1;
     if (!icache.access(addr))
-        cycles_ += params_.icacheMissPenalty;
+        cycles += params_.icacheMissPenalty;
 
     const isa::OpInfo &info = isa::opInfo(inst.op);
 
@@ -47,32 +46,48 @@ PipelineTimer::onInst(uint32_t addr, const isa::Inst &inst)
         if (info.format == Format::Store)
             uses = uses || inst.rd == pendingLoadReg;
         if (uses)
-            cycles_ += params_.loadUseStall;
+            cycles += params_.loadUseStall;
     }
     pendingLoadReg =
         info.cls == InstClass::Load ? inst.rd : 0xff;
 
     if (info.cls == InstClass::IntMul)
-        cycles_ += params_.mulLatency;
+        cycles += params_.mulLatency;
     if (info.cls == InstClass::Jump)
-        cycles_ += params_.jumpBubble;
+        cycles += params_.jumpBubble;
+    return cycles;
 }
 
 void
-PipelineTimer::onMemAccess(const MemAccessEvent &event)
+PipelineTimer::onRun(const RunEvent &run)
+{
+    if (slotCycles_.size() < run.slot + run.n)
+        slotCycles_.resize(run.slot + run.n);
+    uint64_t *const slots = slotCycles_.data() + run.slot;
+    auto charge = [&](uint32_t i, uint64_t cycles) {
+        slots[i] += cycles;
+        cycles_ += cycles;
+    };
+    for (uint32_t i = 0; i < run.n; i++)
+        charge(i, issueCycles(run.pcAt(i), run.insts[i]));
+    for (uint32_t i : missOffsets)
+        charge(i, params_.dcacheMissPenalty);
+    missOffsets.clear();
+    if (run.endsInBranch()) {
+        uint64_t before = predictor.mispredicts();
+        predictor.update(run.pcAt(run.n - 1), run.taken);
+        if (predictor.mispredicts() != before)
+            charge(run.n - 1, params_.branchMispredict);
+    }
+    insts_ += run.n;
+}
+
+void
+PipelineTimer::onMemAccessAt(const MemAccessEvent &event,
+                             uint32_t offsetInRun)
 {
     if (!dcache.access(event.addr))
-        cycles_ += params_.dcacheMissPenalty;
-}
-
-void
-PipelineTimer::onBranch(uint32_t addr, bool taken, uint32_t target)
-{
-    (void)target;
-    uint64_t before = predictor.mispredicts();
-    predictor.update(addr, taken);
-    if (predictor.mispredicts() != before)
-        cycles_ += params_.branchMispredict;
+        missOffsets.push_back(offsetInRun);
 }
 
 } // namespace pb::sim

@@ -14,11 +14,15 @@
  *  - I-/D-cache miss penalties driven by the cache models.
  *
  * Attach alongside the PacketRecorder to get per-packet cycle counts
- * and a modeled CPI.
+ * and a modeled CPI.  Every cycle is also charged to the program slot
+ * of the instruction that cost it (slotCycles()), which is what the
+ * hot-spot profiler attributes per pc.
  */
 
 #ifndef PB_SIM_TIMING_HH
 #define PB_SIM_TIMING_HH
+
+#include <vector>
 
 #include "sim/uarch.hh"
 
@@ -46,9 +50,9 @@ class PipelineTimer : public ExecObserver
   public:
     explicit PipelineTimer(TimingParams params = {});
 
-    void onInst(uint32_t addr, const isa::Inst &inst) override;
-    void onMemAccess(const MemAccessEvent &event) override;
-    void onBranch(uint32_t addr, bool taken, uint32_t target) override;
+    void onRun(const RunEvent &run) override;
+    void onMemAccessAt(const MemAccessEvent &event,
+                       uint32_t offsetInRun) override;
 
     /** Total modeled cycles since construction. */
     uint64_t cycles() const { return cycles_; }
@@ -71,7 +75,22 @@ class PipelineTimer : public ExecObserver
 
     const TimingParams &params() const { return params_; }
 
+    /**
+     * Cycles charged to each program slot since construction: the
+     * full cost of the instructions that executed there (base,
+     * I-cache miss, load-use, multiply, jump bubble, D-cache miss and
+     * mispredict).  Slots past the highest one executed are absent.
+     */
+    const std::vector<uint64_t> &slotCycles() const { return slotCycles_; }
+
   private:
+    /**
+     * Cost of issuing @p inst at @p addr, before its data access and
+     * branch outcome: base cycle, I-cache miss, load-use stall,
+     * multiply latency, jump bubble.
+     */
+    uint64_t issueCycles(uint32_t addr, const isa::Inst &inst);
+
     TimingParams params_;
     CacheModel icache;
     CacheModel dcache;
@@ -81,6 +100,9 @@ class PipelineTimer : public ExecObserver
     uint64_t insts_ = 0;
     uint64_t markCycles = 0;
     uint8_t pendingLoadReg = 0xff; ///< rd of the previous load
+    /** Offsets of this run's accesses that missed the D-cache. */
+    std::vector<uint32_t> missOffsets;
+    std::vector<uint64_t> slotCycles_;
 };
 
 } // namespace pb::sim

@@ -94,23 +94,20 @@ MicroArchModel::MicroArchModel(uint32_t icache_bytes,
 {}
 
 void
-MicroArchModel::onInst(uint32_t addr, const isa::Inst &inst)
+MicroArchModel::onRun(const RunEvent &run)
 {
-    (void)inst;
-    icache_.access(addr);
+    for (uint32_t i = 0; i < run.n; i++)
+        icache_.access(run.pcAt(i));
+    if (run.endsInBranch())
+        predictor_.update(run.pcAt(run.n - 1), run.taken);
 }
 
 void
-MicroArchModel::onMemAccess(const MemAccessEvent &event)
+MicroArchModel::onMemAccessAt(const MemAccessEvent &event,
+                              uint32_t offsetInRun)
 {
+    (void)offsetInRun;
     dcache_.access(event.addr);
-}
-
-void
-MicroArchModel::onBranch(uint32_t addr, bool taken, uint32_t target)
-{
-    (void)target;
-    predictor_.update(addr, taken);
 }
 
 } // namespace pb::sim

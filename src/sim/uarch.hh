@@ -103,9 +103,9 @@ class MicroArchModel : public ExecObserver
                    uint32_t dcache_bytes = 8192,
                    uint32_t line_bytes = 32, uint32_t ways = 2);
 
-    void onInst(uint32_t addr, const isa::Inst &inst) override;
-    void onMemAccess(const MemAccessEvent &event) override;
-    void onBranch(uint32_t addr, bool taken, uint32_t target) override;
+    void onRun(const RunEvent &run) override;
+    void onMemAccessAt(const MemAccessEvent &event,
+                       uint32_t offsetInRun) override;
 
     const CacheModel &icache() const { return icache_; }
     const CacheModel &dcache() const { return dcache_; }

@@ -57,7 +57,6 @@ TEST_F(ProfilerTest, ExactPerPcCounts)
     HotSpotProfiler prof(prog, blocks);
     cpu.setObserver(&prof);
     cpu.run(prog.entry());
-    prof.flush();
 
     EXPECT_EQ(prof.instCount(0x1000), 1u); // addi t0, zero, 3
     EXPECT_EQ(prof.instCount(0x1004), 3u); // addi t0, t0, -1
@@ -74,7 +73,6 @@ TEST_F(ProfilerTest, HottestBlockRankedFirst)
     HotSpotProfiler prof(prog, blocks);
     cpu.setObserver(&prof);
     cpu.run(prog.entry());
-    prof.flush();
 
     auto ranked = prof.rankedBlocks();
     ASSERT_EQ(ranked.size(), 3u); // all three blocks executed
@@ -102,7 +100,6 @@ TEST_F(ProfilerTest, AccumulatesAcrossRuns)
         cpu.resetRegs();
         cpu.run(prog.entry());
     }
-    prof.flush();
     EXPECT_EQ(prof.totalInsts(), 32u);
     EXPECT_EQ(prof.instCount(0x1004), 12u);
     EXPECT_EQ(prof.rankedBlocks()[0].entries, 12u);
@@ -123,31 +120,39 @@ TEST_F(ProfilerTest, TimerAttributesCycles)
     sim::BlockMap long_blocks(long_prog);
     cpu.loadProgram(long_prog);
 
-    HotSpotProfiler prof(long_prog, long_blocks);
-    sim::PipelineTimer timer;
-    // Profiler first, timer second: the cycles accumulating between
-    // two profiler observations are the previous instruction's cost.
-    sim::FanoutObserver fanout;
-    fanout.add(&prof);
-    fanout.add(&timer);
-    prof.attachTimer(&timer);
+    // The timer charges each instruction's cost to its slot, so the
+    // attribution is the same whichever observer hears a run first.
+    std::string rendered[2];
+    for (bool timerFirst : {false, true}) {
+        HotSpotProfiler prof(long_prog, long_blocks);
+        sim::PipelineTimer timer;
+        sim::FanoutObserver fanout;
+        if (timerFirst)
+            fanout.add(&timer);
+        fanout.add(&prof);
+        if (!timerFirst)
+            fanout.add(&timer);
+        prof.attachTimer(&timer);
 
-    cpu.setObserver(&fanout);
-    cpu.run(long_prog.entry());
-    prof.flush();
+        cpu.resetRegs();
+        cpu.setObserver(&fanout);
+        cpu.run(long_prog.entry());
 
-    EXPECT_EQ(prof.totalInsts(), 102u); // 1 + 50*2 + 1
-    // Every cycle the timer modeled is attributed to some PC.
-    EXPECT_EQ(prof.totalCycles(), timer.cycles());
-    EXPECT_GE(prof.totalCycles(), prof.totalInsts());
-    // Each instruction costs at least one cycle.
-    for (uint32_t addr = 0x1000; addr <= 0x100c; addr += 4)
-        EXPECT_GE(prof.cycleCount(addr), prof.instCount(addr));
-    // The loop block ranks first with cycles attached.
-    auto ranked = prof.rankedBlocks();
-    EXPECT_EQ(ranked[0].startAddr, 0x1004u);
-    EXPECT_EQ(ranked[0].insts, 100u);
-    EXPECT_GE(ranked[0].cycles, ranked[0].insts);
+        EXPECT_EQ(prof.totalInsts(), 102u); // 1 + 50*2 + 1
+        // Every cycle the timer modeled is attributed to some PC.
+        EXPECT_EQ(prof.totalCycles(), timer.cycles());
+        EXPECT_GE(prof.totalCycles(), prof.totalInsts());
+        // Each instruction costs at least one cycle.
+        for (uint32_t addr = 0x1000; addr <= 0x100c; addr += 4)
+            EXPECT_GE(prof.cycleCount(addr), prof.instCount(addr));
+        // The loop block ranks first with cycles attached.
+        auto ranked = prof.rankedBlocks();
+        EXPECT_EQ(ranked[0].startAddr, 0x1004u);
+        EXPECT_EQ(ranked[0].insts, 100u);
+        EXPECT_GE(ranked[0].cycles, ranked[0].insts);
+        rendered[timerFirst] = prof.render();
+    }
+    EXPECT_EQ(rendered[0], rendered[1]);
 }
 
 TEST_F(ProfilerTest, RenderAnnotatesDisassembly)
@@ -155,7 +160,6 @@ TEST_F(ProfilerTest, RenderAnnotatesDisassembly)
     HotSpotProfiler prof(prog, blocks);
     cpu.setObserver(&prof);
     cpu.run(prog.entry());
-    prof.flush();
 
     std::string report = prof.render();
     EXPECT_NE(report.find("8 insts"), std::string::npos);
@@ -184,7 +188,6 @@ TEST_F(ProfilerTest, ResetClearsSamples)
     HotSpotProfiler prof(prog, blocks);
     cpu.setObserver(&prof);
     cpu.run(prog.entry());
-    prof.flush();
     prof.reset();
     EXPECT_EQ(prof.totalInsts(), 0u);
     EXPECT_EQ(prof.instCount(0x1004), 0u);

@@ -3,10 +3,12 @@
  * Differential tests of the interpreter dispatch loops.
  *
  * The block-stepped loop must be bit-identical to the per-instruction
- * reference loop: same RunResult, same registers, same per-packet
- * statistics, same observer event stream, and — for every fault
- * class — the same exception type, message, and architectural state
- * at the throw.
+ * reference loop: same RunResult, same registers, same observer event
+ * stream (flattened to instructions), and — for every fault class —
+ * the same exception type, message, and architectural state at the
+ * throw.  In every configuration the PacketRecorder's per-packet
+ * statistics and run-level aggregates must equal those of a naive
+ * per-instruction oracle recorder (oracle_recorder.hh).
  * These tests pin that equivalence down on the real workload
  * programs (every application, hundreds of synthetic packets), on a
  * hand-built fault matrix, and on seeded random programs.
@@ -14,10 +16,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <typeinfo>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "isa/assembler.hh"
 #include "isa/disasm.hh"
 #include "net/tracegen.hh"
+#include "oracle_recorder.hh"
 #include "sim/accounting.hh"
 #include "sim/bblock.hh"
 #include "sim/cpu.hh"
@@ -37,103 +39,179 @@ namespace
 
 using namespace pb;
 using namespace pb::sim;
+using test::OracleRecorder;
 
-/** One observer callback, flattened for comparison. */
-struct Event
-{
-    enum Kind : uint8_t { Inst, Mem, Branch } kind;
-    uint32_t a; ///< Inst/Branch: pc; Mem: address
-    uint32_t b; ///< Inst: opcode; Mem: size; Branch: target
-    uint32_t c; ///< Mem: isStore; Branch: taken
-    uint32_t d; ///< Mem: region
-
-    bool
-    operator==(const Event &o) const
-    {
-        return kind == o.kind && a == o.a && b == o.b && c == o.c &&
-               d == o.d;
-    }
-};
-
-/** Records the full execution stream for stream-equality checks. */
-class RecordingObserver : public ExecObserver
+/**
+ * A generic observer that flattens the run stream into one line per
+ * instruction, memory access, and conditional-branch outcome.
+ */
+class FlatStream : public ExecObserver
 {
   public:
-    std::vector<Event> events;
+    std::string events;
 
     void
-    onInst(uint32_t addr, const isa::Inst &inst) override
+    onMemAccessAt(const MemAccessEvent &event,
+                  uint32_t offsetInRun) override
     {
-        events.push_back({Event::Inst, addr,
-                          static_cast<uint32_t>(inst.op), 0, 0});
+        pending.emplace_back(offsetInRun, event);
     }
 
     void
-    onMemAccess(const MemAccessEvent &event) override
+    onRun(const RunEvent &run) override
     {
-        events.push_back({Event::Mem, event.addr, event.size,
-                          event.isStore,
-                          static_cast<uint32_t>(event.region)});
+        std::ostringstream out;
+        auto access = pending.begin();
+        for (uint32_t i = 0; i < run.n; i++) {
+            out << "inst " << run.pcAt(i) << ' '
+                << static_cast<int>(run.insts[i].op) << '\n';
+            for (; access != pending.end() && access->first == i;
+                 ++access) {
+                const MemAccessEvent &e = access->second;
+                out << " mem " << e.addr << ' ' << int{e.size} << ' '
+                    << e.isStore << ' ' << static_cast<int>(e.region)
+                    << '\n';
+            }
+        }
+        if (run.endsInBranch()) {
+            out << " branch " << run.taken << ' '
+                << (run.taken ? run.target : 0) << '\n';
+        }
+        pending.clear();
+        events += out.str();
     }
 
-    void
-    onBranch(uint32_t addr, bool taken, uint32_t target) override
+  private:
+    std::vector<std::pair<uint32_t, MemAccessEvent>> pending;
+};
+
+/** Every field of @p stats, one per line, for comparison. */
+std::string
+describe(const PacketStats &stats)
+{
+    std::ostringstream out;
+    out << "insts " << stats.instCount << "\nunique "
+        << stats.uniqueInstCount << "\npacket r/w " << stats.packetReads
+        << ' ' << stats.packetWrites << "\nnon-packet r/w "
+        << stats.nonPacketReads << ' ' << stats.nonPacketWrites
+        << "\nblocks";
+    for (uint32_t block : stats.blocks)
+        out << ' ' << block;
+    out << "\ninstTrace";
+    for (uint32_t pc : stats.instTrace)
+        out << ' ' << pc;
+    out << '\n';
+    for (const PacketStats::TracedAccess &t : stats.memTrace) {
+        out << "access #" << t.instIndex << ' ' << t.event.addr << ' '
+            << int{t.event.size} << ' ' << t.event.isStore << ' '
+            << static_cast<int>(t.event.region) << '\n';
+    }
+    return out.str();
+}
+
+/** A recorder's (or the oracle's) run-level aggregates. */
+template <typename Recorder>
+std::string
+describeAggregates(const Recorder &rec)
+{
+    std::ostringstream out;
+    out << "total insts " << rec.totalInsts() << "\ninst bytes "
+        << rec.instMemoryBytes() << "\ndata bytes "
+        << rec.dataMemoryBytes() << "\nmix";
+    for (uint64_t count : rec.classCounts())
+        out << ' ' << count;
+    out << '\n';
+    return out.str();
+}
+
+/** How the recorder is attached to the CPU. */
+enum class Wiring
+{
+    None,   ///< no observer: the events compile out
+    Solo,   ///< a one-sink fan-out that resolves to the recorder
+    Fanout, ///< recorder, oracle and flat stream: virtual dispatch
+};
+
+const char *
+wiringName(Wiring w)
+{
+    switch (w) {
+      case Wiring::None: return "none";
+      case Wiring::Solo: return "solo";
+      case Wiring::Fanout: return "fan-out";
+    }
+    return "?";
+}
+
+/** Every loop and wiring the comparisons run, the oracle's first. */
+struct Config
+{
+    DispatchMode mode;
+    Wiring wiring;
+
+    std::string
+    name() const
     {
-        events.push_back({Event::Branch, addr, target, taken, 0});
+        return std::string(mode == DispatchMode::Reference
+                               ? "reference/"
+                               : "blocked/") +
+               wiringName(wiring);
     }
 };
 
-/** A memTrace entry, flattened for comparison. */
-std::tuple<uint64_t, uint32_t, uint8_t, bool, MemRegion>
-traced(const PacketStats::TracedAccess &t)
-{
-    return {t.instIndex, t.event.addr, t.event.size, t.event.isStore,
-            t.event.region};
-}
-
-void
-expectStatsEqual(const PacketStats &a, const PacketStats &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.instCount, b.instCount) << what;
-    EXPECT_EQ(a.uniqueInstCount, b.uniqueInstCount) << what;
-    EXPECT_EQ(a.packetReads, b.packetReads) << what;
-    EXPECT_EQ(a.packetWrites, b.packetWrites) << what;
-    EXPECT_EQ(a.nonPacketReads, b.nonPacketReads) << what;
-    EXPECT_EQ(a.nonPacketWrites, b.nonPacketWrites) << what;
-    EXPECT_EQ(a.blocks, b.blocks) << what;
-    EXPECT_EQ(a.instTrace, b.instTrace) << what;
-    ASSERT_EQ(a.memTrace.size(), b.memTrace.size()) << what;
-    for (size_t i = 0; i < a.memTrace.size(); i++)
-        EXPECT_EQ(traced(a.memTrace[i]), traced(b.memTrace[i]))
-            << what << " memTrace[" << i << "]";
-}
-
-/** A recorder's run-level aggregates, captured for comparison. */
-struct Aggregates
-{
-    uint64_t totalInsts = 0;
-    uint64_t instBytes = 0;
-    uint64_t dataBytes = 0;
-    std::array<uint64_t, numInstClasses> mix{};
+const Config configs[] = {
+    {DispatchMode::Reference, Wiring::Fanout},
+    {DispatchMode::Reference, Wiring::Solo},
+    {DispatchMode::Blocked, Wiring::None},
+    {DispatchMode::Blocked, Wiring::Solo},
+    {DispatchMode::Blocked, Wiring::Fanout},
 };
 
-Aggregates
-aggregatesOf(const PacketRecorder &rec)
+/** The observers one configuration attaches to its CPU. */
+struct Observers
 {
-    return {rec.totalInsts(), rec.instMemoryBytes(),
-            rec.dataMemoryBytes(), rec.classCounts()};
-}
+    PacketRecorder rec;
+    OracleRecorder oracle;
+    FlatStream stream;
+    FanoutObserver fanout;
+    const Wiring wiring;
 
-void
-expectAggregatesEqual(const Aggregates &a, const Aggregates &b,
-                      const std::string &what)
-{
-    EXPECT_EQ(a.totalInsts, b.totalInsts) << what;
-    EXPECT_EQ(a.instBytes, b.instBytes) << what;
-    EXPECT_EQ(a.dataBytes, b.dataBytes) << what;
-    EXPECT_EQ(a.mix, b.mix) << what;
-}
+    Observers(const isa::Program &prog, const BlockMap &blocks,
+              const RecorderConfig &rcfg, Wiring wiring_)
+        : rec(prog, blocks, rcfg), oracle(prog, blocks, rcfg),
+          wiring(wiring_)
+    {
+        fanout.add(&rec);
+        if (wiring == Wiring::Fanout) {
+            fanout.add(&oracle);
+            fanout.add(&stream);
+        }
+    }
+
+    void
+    attach(Cpu &cpu)
+    {
+        cpu.setObserver(wiring == Wiring::None ? nullptr : &fanout);
+    }
+
+    void
+    beginPacket()
+    {
+        if (wiring != Wiring::None)
+            rec.beginPacket();
+        oracle.beginPacket();
+    }
+
+    /** Close the packet: its recorder and oracle statistics. */
+    std::pair<std::string, std::string>
+    endPacket()
+    {
+        if (wiring == Wiring::None)
+            return {};
+        return {describe(rec.endPacket()),
+                describe(oracle.endPacket())};
+    }
+};
 
 /**
  * The recorder configurations every comparison runs under: the
@@ -144,83 +222,154 @@ const RecorderConfig recorderConfigs[] = {
     {.instTrace = true, .memTrace = true, .blockSets = true},
 };
 
-/**
- * One application on one simulated machine, driven with the
- * framework's calling convention (mirrors PacketBench's per-packet
- * accounting boundary).
- */
-struct AppHarness
+/** What one configuration observed of one workload. */
+struct Outcome
 {
-    sim::Memory mem;
-    sim::Cpu cpu{mem};
-    uint32_t entry = 0;
-    std::unique_ptr<core::Application> app;
-    std::unique_ptr<sim::BlockMap> blockMap;
-    std::unique_ptr<sim::PacketRecorder> rec;
-    sim::FanoutObserver fanout;
-    RecordingObserver recording;
-    uint32_t prevLen = 0;
+    std::string log; ///< results, faults, registers, memory
+    std::string recStats;    ///< the recorder's packets
+    std::string oracleStats; ///< the oracle's packets
+    std::string recAggregates;
+    std::string oracleAggregates;
+    std::string events; ///< the flattened stream, in a fan-out
 
-    /** @p wired selects what setObserver() sees (solo vs fan-out). */
-    enum class Obs { None, RecorderOnly, RecorderAndStream };
-
-    AppHarness(an::AppKind kind, DispatchMode mode, Obs wired,
-               RecorderConfig rcfg)
+    /** Close packet @p index on @p obs. */
+    void
+    endPacket(Observers &obs, size_t index)
     {
-        an::ExperimentConfig cfg;
-        app = an::makeApp(kind, cfg);
-        isa::Program prog = app->setup(mem);
-        cpu.loadProgram(prog);
-        entry = prog.entry("main");
-        blockMap = std::make_unique<sim::BlockMap>(prog);
-        rec = std::make_unique<sim::PacketRecorder>(prog, *blockMap,
-                                                    rcfg);
-        cpu.setDispatchMode(mode);
-        switch (wired) {
-          case Obs::None:
-            break;
-          case Obs::RecorderOnly:
-            // Single sink: setObserver resolves through the fan-out
-            // straight to the devirtualized recorder path.
-            fanout.add(rec.get());
-            cpu.setObserver(&fanout);
-            break;
-          case Obs::RecorderAndStream:
-            // Two sinks: the generic virtual-dispatch path.
-            fanout.add(rec.get());
-            fanout.add(&recording);
-            cpu.setObserver(&fanout);
-            break;
-        }
+        auto [rec, oracle] = obs.endPacket();
+        const std::string header =
+            "packet " + std::to_string(index) + "\n";
+        recStats += header + rec;
+        oracleStats += header + oracle;
     }
 
-    RunResult
-    runOne(const net::Packet &packet, PacketStats *stats)
+    /** Close the run: aggregates and event stream. */
+    void
+    finish(Observers &obs)
     {
-        uint32_t l3_len = packet.l3Len();
-        if (prevLen > l3_len)
-            mem.fill(sim::layout::packetBase + l3_len,
-                     prevLen - l3_len);
-        mem.writeBlock(sim::layout::packetBase, packet.l3(), l3_len);
-        prevLen = l3_len;
-        cpu.resetRegs();
-        cpu.setReg(isa::regA0, sim::layout::packetBase);
-        cpu.setReg(isa::regA1, l3_len);
-        if (stats)
-            rec->beginPacket();
-        sim::RunResult result = cpu.run(entry, 10'000'000);
-        if (stats)
-            *stats = rec->endPacket();
-        return result;
+        if (obs.wiring != Wiring::None)
+            recAggregates = describeAggregates(obs.rec);
+        oracleAggregates = describeAggregates(obs.oracle);
+        events = std::move(obs.stream.events);
     }
 };
 
 /**
+ * Where @p got, observed under @p config, departs from @p ref, the
+ * reference loop's fan-out run; empty when it does not.  The run log
+ * must match everywhere; the recorder's statistics and aggregates
+ * must equal the oracle's under the reference loop; in a fan-out, the
+ * oracle's and the flattened event stream must match too.
+ */
+std::string
+mismatch(const Config &config, const Outcome &ref, const Outcome &got)
+{
+    auto differs = [&](const char *what, const std::string &want,
+                       const std::string &have) -> std::string {
+        if (want == have)
+            return {};
+        std::istringstream w(want), h(have);
+        std::string wl, hl;
+        size_t line = 1;
+        for (;; line++) {
+            const bool more_w = bool(std::getline(w, wl));
+            const bool more_h = bool(std::getline(h, hl));
+            if (!more_w || !more_h || wl != hl) {
+                if (!more_w)
+                    wl = "<end>";
+                if (!more_h)
+                    hl = "<end>";
+                break;
+            }
+        }
+        return config.name() + ": " + what + " differs at line " +
+               std::to_string(line) + "\n  want: " + wl +
+               "\n  got:  " + hl;
+    };
+    std::string why = differs("run log", ref.log, got.log);
+    if (why.empty() && config.wiring != Wiring::None) {
+        why = differs("recorder statistics (oracle vs recorder)",
+                      ref.oracleStats, got.recStats);
+        if (why.empty())
+            why = differs("recorder aggregates (oracle vs recorder)",
+                          ref.oracleAggregates, got.recAggregates);
+    }
+    if (why.empty() && config.wiring == Wiring::Fanout) {
+        why = differs("oracle statistics", ref.oracleStats,
+                      got.oracleStats);
+        if (why.empty())
+            why = differs("oracle aggregates", ref.oracleAggregates,
+                          got.oracleAggregates);
+        if (why.empty())
+            why = differs("event stream", ref.events, got.events);
+    }
+    return why;
+}
+
+/** Append the register file to @p log. */
+void
+logRegs(std::ostream &log, const Cpu &cpu)
+{
+    log << "regs";
+    for (unsigned r = 0; r < isa::numRegs; r++)
+        log << ' ' << cpu.reg(r);
+    log << '\n';
+}
+
+/**
+ * One application, hundreds of packets, driven with the framework's
+ * calling convention (mirrors PacketBench's per-packet accounting
+ * boundary) under one configuration.
+ */
+Outcome
+runApp(an::AppKind kind, const Config &config,
+       const RecorderConfig &rcfg,
+       const std::vector<net::Packet> &packets)
+{
+    an::ExperimentConfig cfg;
+    auto app = an::makeApp(kind, cfg);
+    Memory mem;
+    Cpu cpu{mem};
+    const isa::Program prog = app->setup(mem);
+    cpu.loadProgram(prog);
+    cpu.setDispatchMode(config.mode);
+    const BlockMap blocks(prog);
+    Observers obs(prog, blocks, rcfg, config.wiring);
+    obs.attach(cpu);
+
+    Outcome out;
+    std::ostringstream log;
+    uint32_t prev_len = 0;
+    for (size_t i = 0; i < packets.size(); i++) {
+        const net::Packet &packet = packets[i];
+        const uint32_t l3_len = packet.l3Len();
+        if (prev_len > l3_len)
+            mem.fill(layout::packetBase + l3_len, prev_len - l3_len);
+        mem.writeBlock(layout::packetBase, packet.l3(), l3_len);
+        prev_len = l3_len;
+        cpu.resetRegs();
+        cpu.setReg(isa::regA0, layout::packetBase);
+        cpu.setReg(isa::regA1, l3_len);
+        obs.beginPacket();
+        const RunResult r = cpu.run(prog.entry("main"), 10'000'000);
+        log << "packet " << i << ": " << static_cast<int>(r.stopCode)
+            << ' ' << r.stopArg << ' ' << r.instCount << ' '
+            << r.hitBudget << '\n';
+        logRegs(log, cpu);
+        out.endPacket(obs, i);
+    }
+    log << "lifetime insts " << cpu.totalInstCount() << '\n';
+    out.log = log.str();
+    out.finish(obs);
+    return out;
+}
+
+/**
  * One application, hundreds of packets: the reference loop, the
- * block-stepped loop (in its no-observer, run-charged-recorder, and
- * generic-observer configurations), and the recorded statistics,
- * traces, run-level aggregates, and event streams must all agree
- * exactly.
+ * block-stepped loop (in its no-observer, lone-recorder, and
+ * generic-observer configurations), the recorded statistics, traces,
+ * and run-level aggregates against the oracle's, and the event
+ * streams must all agree exactly.
  */
 void
 expectAppAgrees(an::AppKind kind, const RecorderConfig &rcfg)
@@ -231,66 +380,14 @@ expectAppAgrees(an::AppKind kind, const RecorderConfig &rcfg)
     while (auto p = gen.next())
         packets.push_back(*p);
 
-    using Obs = AppHarness::Obs;
-    AppHarness refFull(kind, DispatchMode::Reference,
-                       Obs::RecorderAndStream, rcfg);
-    AppHarness blkFull(kind, DispatchMode::Blocked,
-                       Obs::RecorderAndStream, rcfg);
-    AppHarness blkSolo(kind, DispatchMode::Blocked,
-                       Obs::RecorderOnly, rcfg);
-    AppHarness blkNone(kind, DispatchMode::Blocked, Obs::None, rcfg);
-
-    std::string title = an::appTitle(kind) +
-                        (rcfg.memTrace ? " (traces)" : "");
-    for (uint32_t i = 0; i < packets.size(); i++) {
-        std::string ctx = title + " packet " + std::to_string(i);
-        const net::Packet &p = packets[i];
-
-        PacketStats sRef, sFull, sSolo;
-        RunResult rRef = refFull.runOne(p, &sRef);
-        RunResult rFull = blkFull.runOne(p, &sFull);
-        RunResult rSolo = blkSolo.runOne(p, &sSolo);
-        RunResult rNone = blkNone.runOne(p, nullptr);
-
-        for (const RunResult *r : {&rFull, &rSolo, &rNone}) {
-            EXPECT_EQ(static_cast<int>(rRef.stopCode),
-                      static_cast<int>(r->stopCode))
-                << ctx;
-            EXPECT_EQ(rRef.stopArg, r->stopArg) << ctx;
-            EXPECT_EQ(rRef.instCount, r->instCount) << ctx;
-            EXPECT_EQ(rRef.hitBudget, r->hitBudget) << ctx;
-        }
-        for (unsigned r = 0; r < isa::numRegs; r++) {
-            EXPECT_EQ(refFull.cpu.reg(r), blkFull.cpu.reg(r))
-                << ctx << " r" << r;
-            EXPECT_EQ(refFull.cpu.reg(r), blkSolo.cpu.reg(r))
-                << ctx << " r" << r;
-            EXPECT_EQ(refFull.cpu.reg(r), blkNone.cpu.reg(r))
-                << ctx << " r" << r;
-        }
-        expectStatsEqual(sRef, sFull, ctx + " (generic)");
-        expectStatsEqual(sRef, sSolo, ctx + " (solo)");
-        if (refFull.recording.events != blkFull.recording.events) {
-            FAIL() << ctx << ": event streams diverge ("
-                   << refFull.recording.events.size() << " vs "
-                   << blkFull.recording.events.size()
-                   << " events)";
-        }
-        refFull.recording.events.clear();
-        blkFull.recording.events.clear();
+    const std::string title = an::appTitle(kind) +
+                              (rcfg.memTrace ? " (traces)" : "");
+    const Outcome ref = runApp(kind, configs[0], rcfg, packets);
+    EXPECT_EQ(mismatch(configs[0], ref, ref), "") << title;
+    for (size_t c = 1; c < std::size(configs); c++) {
+        const Outcome got = runApp(kind, configs[c], rcfg, packets);
+        EXPECT_EQ(mismatch(configs[c], ref, got), "") << title;
     }
-
-    // Run-level aggregates accumulated by the recorders.
-    expectAggregatesEqual(aggregatesOf(*refFull.rec),
-                          aggregatesOf(*blkFull.rec), title + " (generic)");
-    expectAggregatesEqual(aggregatesOf(*refFull.rec),
-                          aggregatesOf(*blkSolo.rec), title + " (solo)");
-    EXPECT_EQ(refFull.cpu.totalInstCount(),
-              blkFull.cpu.totalInstCount())
-        << title;
-    EXPECT_EQ(refFull.cpu.totalInstCount(),
-              blkSolo.cpu.totalInstCount())
-        << title;
 }
 
 TEST(InterpDiff, AppsAgreeAcrossDispatchModesAndObservers)
@@ -307,92 +404,54 @@ TEST(InterpDiff, AppsAgreeAcrossDispatchModesAndObservers)
 // file at the throw must match the reference loop exactly.
 // ---------------------------------------------------------------------
 
-/** How one faulting run ended. */
-struct FaultOutcome
-{
-    std::string message; ///< e.what()
-    uint32_t regs[isa::numRegs];
-    /** The recorder's partial packet and aggregates, when attached. */
-    PacketStats stats;
-    Aggregates aggregates;
-    std::vector<Event> events; ///< the generic observer's stream
-};
-
 class FaultMatrix : public ::testing::Test
 {
   protected:
-    /** The observer configurations every fault case runs under. */
-    enum class Mode { Ref, BlockedNone, BlockedRecorder,
-                      BlockedGeneric };
-
-    static const char *
-    modeName(Mode m)
-    {
-        switch (m) {
-          case Mode::Ref: return "reference";
-          case Mode::BlockedNone: return "blocked/none";
-          case Mode::BlockedRecorder: return "blocked/recorder";
-          case Mode::BlockedGeneric: return "blocked/generic";
-        }
-        return "?";
-    }
-
     /**
-     * Run @p src under @p mode; on the expected fault @p ErrT,
-     * capture the message, register file, and what the recorder (and
-     * event stream) saw up to the fault.  The reference loop feeds
-     * the recorder and the stream through the fan-out.
+     * Run @p src under @p config; on the expected fault @p ErrT,
+     * log the message and register file, and capture what the
+     * recorder, the oracle, and the event stream saw up to the fault.
      */
     template <typename ErrT>
-    FaultOutcome
-    runExpectingFault(const std::string &src, Mode mode, uint64_t budget,
-                      const RecorderConfig &rcfg)
+    Outcome
+    runExpectingFault(const std::string &src, const Config &config,
+                      uint64_t budget, const RecorderConfig &rcfg)
     {
         isa::Program prog = isa::Assembler(sim::layout::textBase)
                                 .assemble(src, "faulttest");
         Memory mem;
         Cpu cpu{mem};
         cpu.loadProgram(prog);
+        cpu.setDispatchMode(config.mode);
         BlockMap blocks(prog);
-        PacketRecorder rec(prog, blocks, rcfg);
-        RecordingObserver stream;
-        FanoutObserver fanout;
-        if (mode != Mode::BlockedNone)
-            fanout.add(&rec);
-        if (mode == Mode::Ref || mode == Mode::BlockedGeneric)
-            fanout.add(&stream);
-        if (mode == Mode::Ref)
-            cpu.setDispatchMode(DispatchMode::Reference);
-        if (mode != Mode::BlockedNone) {
-            cpu.setObserver(&fanout);
-            rec.beginPacket();
-        }
+        Observers obs(prog, blocks, rcfg, config.wiring);
+        obs.attach(cpu);
+        obs.beginPacket();
         uint32_t entry = prog.hasSymbol("main") ? prog.entry()
                                                 : prog.baseAddr;
-        FaultOutcome out;
+        std::ostringstream log;
         try {
             cpu.run(entry, budget);
-            ADD_FAILURE() << modeName(mode)
+            ADD_FAILURE() << config.name()
                           << ": expected a fault, run completed";
         } catch (const ErrT &e) {
-            out.message = e.what();
+            log << e.what() << '\n';
         } catch (const std::exception &e) {
-            ADD_FAILURE() << modeName(mode)
+            ADD_FAILURE() << config.name()
                           << ": wrong exception type: " << e.what();
         }
-        for (unsigned r = 0; r < isa::numRegs; r++)
-            out.regs[r] = cpu.reg(r);
-        if (mode != Mode::BlockedNone) {
-            out.stats = rec.endPacket();
-            out.aggregates = aggregatesOf(rec);
-        }
-        out.events = std::move(stream.events);
+        logRegs(log, cpu);
+        Outcome out;
+        out.log = log.str();
+        out.endPacket(obs, 0);
+        out.finish(obs);
         return out;
     }
 
     /**
-     * Run under all modes and recorder configurations and require
-     * identical outcomes, down to the recorder's partial packet.
+     * Run under every configuration and recorder configuration and
+     * require identical outcomes, down to the recorder's partial
+     * packet.
      */
     template <typename ErrT>
     void
@@ -401,26 +460,15 @@ class FaultMatrix : public ::testing::Test
                     uint64_t budget = 1000)
     {
         for (const RecorderConfig &rcfg : recorderConfigs) {
-            FaultOutcome ref =
-                runExpectingFault<ErrT>(src, Mode::Ref, budget, rcfg);
-            EXPECT_EQ(ref.message, expect_message);
-            for (Mode m : {Mode::BlockedNone, Mode::BlockedRecorder,
-                           Mode::BlockedGeneric}) {
-                FaultOutcome got =
-                    runExpectingFault<ErrT>(src, m, budget, rcfg);
-                EXPECT_EQ(ref.message, got.message) << modeName(m);
-                for (unsigned r = 0; r < isa::numRegs; r++)
-                    EXPECT_EQ(ref.regs[r], got.regs[r])
-                        << modeName(m) << " r" << r;
-                if (m == Mode::BlockedNone)
-                    continue;
-                expectStatsEqual(ref.stats, got.stats, modeName(m));
-                expectAggregatesEqual(ref.aggregates, got.aggregates,
-                                      modeName(m));
-                if (m == Mode::BlockedGeneric) {
-                    EXPECT_TRUE(ref.events == got.events)
-                        << "event streams diverge";
-                }
+            const Outcome ref =
+                runExpectingFault<ErrT>(src, configs[0], budget, rcfg);
+            EXPECT_EQ(ref.log.substr(0, ref.log.find('\n')),
+                      expect_message);
+            for (const Config &config : configs) {
+                EXPECT_EQ(mismatch(config, ref,
+                                   runExpectingFault<ErrT>(
+                                       src, config, budget, rcfg)),
+                          "");
             }
         }
     }
@@ -569,65 +617,40 @@ TEST_F(FaultMatrix, SliceResumesIdenticallyAcrossModes)
     BlockMap blocks(prog);
 
     // One packet across a budget clip mid-run and the resume, then a
-    // second packet run whole, with no observer, or with the recorder
-    // attached throughout (as the only sink, or next to an event
-    // stream).
-    struct Sliced
-    {
-        std::tuple<uint64_t, uint32_t, uint64_t, uint32_t> slices;
-        PacketStats first, second;
-        Aggregates aggregates;
-    };
-    enum class Sinks { None, Recorder, RecorderAndStream };
-    auto sliceAndResume = [&](DispatchMode mode, Sinks sinks,
+    // second packet run whole.
+    auto sliceAndResume = [&](const Config &config,
                               const RecorderConfig &rcfg) {
         Memory mem;
         Cpu cpu{mem};
         cpu.loadProgram(prog);
-        cpu.setDispatchMode(mode);
-        PacketRecorder rec(prog, blocks, rcfg);
-        RecordingObserver stream;
-        FanoutObserver fanout;
-        if (sinks != Sinks::None)
-            fanout.add(&rec);
-        if (sinks == Sinks::RecorderAndStream)
-            fanout.add(&stream);
-        if (sinks != Sinks::None)
-            cpu.setObserver(&fanout);
-        Sliced out;
-        rec.beginPacket();
+        cpu.setDispatchMode(config.mode);
+        Observers obs(prog, blocks, rcfg, config.wiring);
+        obs.attach(cpu);
+        Outcome out;
+        std::ostringstream log;
+        obs.beginPacket();
         RunResult first = cpu.runSlice(prog.entry(), 3);
         EXPECT_TRUE(first.hitBudget);
+        EXPECT_EQ(first.nextPc, sim::layout::textBase + 12);
         RunResult rest = cpu.runSlice(first.nextPc, 1000);
         EXPECT_FALSE(rest.hitBudget);
-        out.first = rec.endPacket();
-        out.slices = std::tuple(first.instCount, first.nextPc,
-                                rest.instCount, cpu.reg(9));
-        rec.beginPacket();
+        out.endPacket(obs, 0);
+        log << first.instCount << ' ' << first.nextPc << ' '
+            << rest.instCount << ' ' << cpu.reg(9) << '\n';
+        obs.beginPacket();
         cpu.resetRegs();
         cpu.run(prog.entry(), 1000);
-        out.second = rec.endPacket();
-        out.aggregates = aggregatesOf(rec);
+        out.endPacket(obs, 1);
+        out.log = log.str();
+        out.finish(obs);
         return out;
     };
 
     for (const RecorderConfig &rcfg : recorderConfigs) {
-        Sliced ref = sliceAndResume(DispatchMode::Reference,
-                                    Sinks::Recorder, rcfg);
-        EXPECT_EQ(std::get<1>(ref.slices), sim::layout::textBase + 12);
-        for (Sinks sinks : {Sinks::None, Sinks::Recorder,
-                            Sinks::RecorderAndStream}) {
-            const std::string what = sinks == Sinks::None ? "none"
-                                     : sinks == Sinks::Recorder
-                                         ? "solo"
-                                         : "generic";
-            Sliced blk = sliceAndResume(DispatchMode::Blocked, sinks, rcfg);
-            EXPECT_EQ(ref.slices, blk.slices) << what;
-            if (sinks == Sinks::None)
-                continue;
-            expectStatsEqual(ref.first, blk.first, what + " first");
-            expectStatsEqual(ref.second, blk.second, what + " second");
-            expectAggregatesEqual(ref.aggregates, blk.aggregates, what);
+        const Outcome ref = sliceAndResume(configs[0], rcfg);
+        for (const Config &config : configs) {
+            EXPECT_EQ(mismatch(config, ref, sliceAndResume(config, rcfg)),
+                      "");
         }
     }
 }
@@ -635,10 +658,10 @@ TEST_F(FaultMatrix, SliceResumesIdenticallyAcrossModes)
 /**
  * A recorder built for a program other than the loaded one, with the
  * same base: one that differs in one instruction's class, and one
- * shorter than the code that runs.  Both charging paths take classes
- * and run boundaries from the CPU's decode and charge per-word state
- * only below the recorder's own word count, so the run-charged
- * recorder stays in bounds and agrees with the reference loop.
+ * shorter than the code that runs.  The recorder takes classes and
+ * run boundaries from the CPU's decode and charges per-word state
+ * only below its own word count, so it stays in bounds and agrees
+ * with an oracle built for the same other program.
  */
 TEST(InterpDiff, RecorderForAnotherProgramMatchesReference)
 {
@@ -670,21 +693,23 @@ TEST(InterpDiff, RecorderForAnotherProgramMatchesReference)
         isa::Program built = isa::Assembler(sim::layout::textBase)
                                  .assemble(other, "other");
         BlockMap blocks(built);
-        auto runWith = [&](DispatchMode mode) {
+        auto runWith = [&](const Config &config) {
             Memory mem;
             Cpu cpu{mem};
             cpu.loadProgram(prog);
-            cpu.setDispatchMode(mode);
-            PacketRecorder rec(built, blocks);
-            cpu.setObserver(&rec);
-            rec.beginPacket();
+            cpu.setDispatchMode(config.mode);
+            Observers obs(built, blocks, {}, config.wiring);
+            obs.attach(cpu);
+            obs.beginPacket();
             cpu.run(prog.entry(), 1000);
-            return std::pair(rec.endPacket(), aggregatesOf(rec));
+            Outcome out;
+            out.endPacket(obs, 0);
+            out.finish(obs);
+            return out;
         };
-        auto [refStats, refAgg] = runWith(DispatchMode::Reference);
-        auto [blkStats, blkAgg] = runWith(DispatchMode::Blocked);
-        expectStatsEqual(refStats, blkStats, "other program");
-        expectAggregatesEqual(refAgg, blkAgg, "other program");
+        const Outcome ref = runWith(configs[0]);
+        for (const Config &config : configs)
+            EXPECT_EQ(mismatch(config, ref, runWith(config)), "");
     }
 }
 
@@ -809,45 +834,24 @@ randomProgram(Rng &rng)
     return prog;
 }
 
-/** Everything one configuration observed of one random program. */
-struct RandomRun
-{
-    std::string log; ///< results, faults, registers, memory, stats
-    std::vector<PacketStats> stats;
-    Aggregates aggregates;
-    std::vector<Event> events;
-};
-
-enum class RandomMode { Ref, BlockedNone, BlockedSolo, BlockedGeneric };
-
 /**
  * Run @p packets packets of @p prog on @p cpu, whose memory is reset
  * to all zeroes first.  Packet inputs, entry points, and slice
- * budgets derive from @p seed alone, so every configuration sees the
- * same ones.
+ * budgets derive from @p seed and the program's length alone, so
+ * every configuration sees the same ones.
  */
-RandomRun
+Outcome
 runRandom(Cpu &cpu, const isa::Program &prog, uint32_t seed,
-          RandomMode mode, const RecorderConfig &rcfg)
+          const Config &config, const RecorderConfig &rcfg)
 {
     constexpr uint32_t packets = 3;
     Memory &mem = cpu.memory();
     mem.reset();
     cpu.loadProgram(prog);
+    cpu.setDispatchMode(config.mode);
     BlockMap blocks(prog);
-    PacketRecorder rec(prog, blocks, rcfg);
-    RecordingObserver stream;
-    FanoutObserver fanout;
-    const bool recorded = mode != RandomMode::BlockedNone;
-    cpu.setDispatchMode(mode == RandomMode::Ref ? DispatchMode::Reference
-                                                : DispatchMode::Blocked);
-    if (mode == RandomMode::Ref || mode == RandomMode::BlockedGeneric) {
-        fanout.add(&rec);
-        fanout.add(&stream);
-        cpu.setObserver(&fanout);
-    } else {
-        cpu.setObserver(mode == RandomMode::BlockedSolo ? &rec : nullptr);
-    }
+    Observers obs(prog, blocks, rcfg, config.wiring);
+    obs.attach(cpu);
 
     Rng rng(seed);
     for (uint32_t window : windows) {
@@ -855,7 +859,7 @@ runRandom(Cpu &cpu, const isa::Program &prog, uint32_t seed,
             mem.write8(window + i, static_cast<uint8_t>(rng.next()));
     }
 
-    RandomRun out;
+    Outcome out;
     std::ostringstream log;
     const uint32_t n = static_cast<uint32_t>(prog.words.size());
     for (uint32_t p = 0; p < packets; p++) {
@@ -869,8 +873,7 @@ runRandom(Cpu &cpu, const isa::Program &prog, uint32_t seed,
         cpu.setReg(isa::regLr, layout::textBase + 4 * rng.below(n));
         uint32_t pc = layout::textBase +
                       (rng.chance(0.7) ? 0 : 4 * rng.below(n));
-        if (recorded)
-            rec.beginPacket();
+        obs.beginPacket();
         log << "packet " << p << ":";
         try {
             // A few slices, each clipped at a random budget; the
@@ -891,12 +894,9 @@ runRandom(Cpu &cpu, const isa::Program &prog, uint32_t seed,
         } catch (const SimError &e) {
             log << " fault " << typeid(e).name() << ": " << e.what();
         }
-        log << "\n regs";
-        for (unsigned r = 0; r < isa::numRegs; r++)
-            log << ' ' << cpu.reg(r);
-        log << "\n";
-        if (recorded)
-            out.stats.push_back(rec.endPacket());
+        log << '\n';
+        logRegs(log, cpu);
+        out.endPacket(obs, p);
     }
     log << "memory";
     for (uint32_t window : windows) {
@@ -908,11 +908,62 @@ runRandom(Cpu &cpu, const isa::Program &prog, uint32_t seed,
         log << ' ' << digest;
     }
     out.log = log.str();
-    if (recorded)
-        out.aggregates = aggregatesOf(rec);
-    out.events = std::move(stream.events);
+    out.finish(obs);
     cpu.setObserver(nullptr);
     return out;
+}
+
+/**
+ * The first disagreement between configurations (or between the
+ * recorder and the oracle) on @p prog, or empty when all agree.
+ */
+std::string
+randomMismatch(Cpu &cpu, const isa::Program &prog, uint32_t seed)
+{
+    for (const RecorderConfig &rcfg : recorderConfigs) {
+        const Outcome ref = runRandom(cpu, prog, seed, configs[0], rcfg);
+        for (const Config &config : configs) {
+            std::string why = mismatch(
+                config, ref, runRandom(cpu, prog, seed, config, rcfg));
+            if (!why.empty()) {
+                return (rcfg.memTrace ? "(traces) " : "(default) ") +
+                       why;
+            }
+        }
+    }
+    return {};
+}
+
+/** The shrinker's no-op: add zero, zero, zero. */
+uint32_t
+nopWord()
+{
+    return isa::encode(isa::Inst{.op = isa::Op::ADD});
+}
+
+/**
+ * Shrink a failing program: replace words with a no-op, one at a
+ * time, keeping each replacement that still fails, until no single
+ * replacement does.  The program keeps its length, so every run
+ * derives the same inputs from the seed.
+ */
+isa::Program
+shrinkRandom(Cpu &cpu, isa::Program prog, uint32_t seed)
+{
+    for (bool shrunk = true; shrunk;) {
+        shrunk = false;
+        for (uint32_t &word : prog.words) {
+            if (word == nopWord())
+                continue;
+            const uint32_t kept = word;
+            word = nopWord();
+            if (randomMismatch(cpu, prog, seed).empty())
+                word = kept;
+            else
+                shrunk = true;
+        }
+    }
+    return prog;
 }
 
 TEST(InterpDiff, RandomProgramsAgreeAcrossDispatchModesAndObservers)
@@ -925,35 +976,18 @@ TEST(InterpDiff, RandomProgramsAgreeAcrossDispatchModesAndObservers)
     for (uint32_t seed = 1; seed <= numPrograms; seed++) {
         Rng rng(seed);
         const isa::Program prog = randomProgram(rng);
-        const std::string where = "seed " + std::to_string(seed) +
-                                  ", program:\n" +
-                                  isa::disassemble(prog);
-        for (const RecorderConfig &rcfg : recorderConfigs) {
-            const RandomRun ref =
-                runRandom(cpu, prog, seed, RandomMode::Ref, rcfg);
-            for (RandomMode mode :
-                 {RandomMode::BlockedNone, RandomMode::BlockedSolo,
-                  RandomMode::BlockedGeneric}) {
-                const RandomRun got =
-                    runRandom(cpu, prog, seed, mode, rcfg);
-                ASSERT_EQ(ref.log, got.log) << where;
-                if (mode == RandomMode::BlockedNone)
-                    continue;
-                ASSERT_EQ(ref.stats.size(), got.stats.size()) << where;
-                for (size_t p = 0; p < ref.stats.size(); p++) {
-                    expectStatsEqual(ref.stats[p], got.stats[p],
-                                     "packet " + std::to_string(p));
-                }
-                expectAggregatesEqual(ref.aggregates, got.aggregates,
-                                      "aggregates");
-                if (mode == RandomMode::BlockedGeneric) {
-                    EXPECT_TRUE(ref.events == got.events)
-                        << "event streams diverge";
-                }
-                if (::testing::Test::HasFailure())
-                    FAIL() << where;
-            }
-        }
+        const std::string why = randomMismatch(cpu, prog, seed);
+        if (why.empty())
+            continue;
+        const isa::Program shrunk = shrinkRandom(cpu, prog, seed);
+        const auto live = std::count_if(
+            shrunk.words.begin(), shrunk.words.end(),
+            [](uint32_t word) { return word != nopWord(); });
+        FAIL() << "seed " << seed << ": " << why << "\nshrunk to "
+               << live << " of " << prog.words.size()
+               << " words (the rest no-ops):\n"
+               << isa::disassemble(shrunk) << "\nas generated:\n"
+               << isa::disassemble(prog);
     }
 }
 

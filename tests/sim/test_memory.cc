@@ -9,7 +9,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include <unistd.h>
@@ -193,42 +192,7 @@ TEST(Memory, ZeroLengthBlockOpsAreNoops)
     EXPECT_NO_THROW(mem.fill(dataBase, 0));
 }
 
-TEST(Memory, FreshRegionsAreClean)
-{
-    Memory mem;
-    for (MemRegion region : {MemRegion::Text, MemRegion::Data,
-                             MemRegion::Packet, MemRegion::Stack}) {
-        auto [lo, hi] = mem.dirtyExtent(region);
-        EXPECT_GE(lo, hi) << static_cast<int>(region);
-    }
-}
-
-TEST(Memory, DirtyExtentCoversWrites)
-{
-    Memory mem;
-    mem.write32(dataBase + 64, 0x12345678);
-    auto [lo, hi] = mem.dirtyExtent(MemRegion::Data);
-    EXPECT_EQ(lo, 64u);
-    EXPECT_EQ(hi, 68u);
-
-    // The extent widens to the union of all writes, and block ops
-    // and fills mark it too.
-    mem.write8(dataBase + 8, 0xff);
-    uint8_t buf[10] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-    mem.writeBlock(dataBase + 200, buf, sizeof(buf));
-    std::tie(lo, hi) = mem.dirtyExtent(MemRegion::Data);
-    EXPECT_EQ(lo, 8u);
-    EXPECT_EQ(hi, 210u);
-
-    // Reads don't dirty anything.
-    auto [plo, phi] = mem.dirtyExtent(MemRegion::Packet);
-    mem.read32(packetBase);
-    auto [plo2, phi2] = mem.dirtyExtent(MemRegion::Packet);
-    EXPECT_EQ(plo, plo2);
-    EXPECT_EQ(phi, phi2);
-}
-
-TEST(Memory, ResetZeroesOnlyDirtyBytesAndClearsExtent)
+TEST(Memory, ResetZeroesWrittenBytes)
 {
     Memory mem;
     mem.write32(stackBase + 128, 0xdeadbeef);
@@ -236,11 +200,6 @@ TEST(Memory, ResetZeroesOnlyDirtyBytesAndClearsExtent)
     mem.reset();
     EXPECT_EQ(mem.read32(stackBase + 128), 0u);
     EXPECT_EQ(mem.read8(packetBase + 31), 0u);
-    for (MemRegion region : {MemRegion::Data, MemRegion::Packet,
-                             MemRegion::Stack}) {
-        auto [lo, hi] = mem.dirtyExtent(region);
-        EXPECT_GE(lo, hi) << static_cast<int>(region);
-    }
     // And the memory is writable/readable as usual afterwards.
     mem.write32(dataBase, 42);
     EXPECT_EQ(mem.read32(dataBase), 42u);
