@@ -13,8 +13,11 @@
  *
  * Output: a human-readable table on stdout and a JSON document
  * (default BENCH_interp.json, `--out=FILE`) with schema
- * "packetbench.bench_interp.v1".  ci/check_bench.py validates it;
- * the committed copy at the repo root is the baseline snapshot.
+ * "packetbench.bench_interp.v1", including a provenance block: the
+ * source tree, compiler, flags and build type stamped when CMake
+ * configured the build, and the CPU model it ran on.
+ * ci/check_bench.py validates it; the committed copy at the repo root
+ * is the baseline snapshot.
  *
  * Options: --packets=N (per measured pass), --repeats=N (best-of),
  * --out=FILE, plus the usual --report/--prom/--trace.
@@ -24,12 +27,14 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "bench_util.hh"
 
 #include "core/packetbench.hh"
 #include "net/tracegen.hh"
+#include "obs/buildinfo.hh"
 #include "obs/json.hh"
 #include "sim/accounting.hh"
 #include "sim/bblock.hh"
@@ -148,6 +153,21 @@ measureApp(an::AppKind kind, const std::vector<net::Packet> &packets,
             configs[3].best};
 }
 
+/** The host CPU's model name, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const size_t start = line.find_first_not_of(" \t:", line.find(':'));
+        return start == std::string::npos ? "unknown" : line.substr(start);
+    }
+    return "unknown";
+}
+
 } // namespace
 
 int
@@ -231,7 +251,14 @@ main(int argc, char **argv)
             {"apps", std::move(apps_json)},
             {"geomean_speedup",
              obs::JsonValue(obs::JsonValue::Object{
-                 {"none", geo_none}, {"accounting", geo_acct}})}});
+                 {"none", geo_none}, {"accounting", geo_acct}})},
+            {"provenance",
+             obs::JsonValue(obs::JsonValue::Object{
+                 {"commit", obs::buildinfo::gitDescribe},
+                 {"compiler", obs::buildinfo::compiler},
+                 {"flags", obs::buildinfo::flags},
+                 {"build_type", obs::buildinfo::buildType},
+                 {"cpu", cpuModel()}})}});
         std::ofstream file(out);
         if (!file)
             fatal("cannot write %s", out.c_str());

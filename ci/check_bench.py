@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Validator for bench_micro_interp documents.
 
-Every document must have the packetbench.bench_interp.v1 schema, every
-application, positive simulated-MIPS figures for all four dispatch-mode
-x observer configurations, speedup figures consistent with the raw MIPS,
-and a block-stepped loop that beats the reference loop (geomean speedup
-> 1.0, with and without the accounting recorder).  That is all a run on
-a shared CI runner is held to.
+Every document must have the packetbench.bench_interp.v1 schema, a
+provenance block (the commit, compiler, flags and build type stamped at
+configure time, and the CPU model), every application, positive
+simulated-MIPS figures for all four dispatch-mode x observer
+configurations, speedup figures consistent with the raw MIPS, and a
+block-stepped loop that beats the reference loop (geomean speedup > 1.0,
+with and without the accounting recorder).  That is all a run on a
+shared CI runner is held to.
 
 --baseline adds the performance gates for the committed BENCH_interp.json,
 measured on a quiet machine:
@@ -26,6 +28,7 @@ INTERP_SCHEMA = "packetbench.bench_interp.v1"
 
 EXPECTED_APPS = {"IPv4-radix", "IPv4-trie", "Flow Class.", "TSA"}
 CONFIGS = ("none", "accounting")
+PROVENANCE_KEYS = ("commit", "compiler", "flags", "build_type", "cpu")
 
 MAX_BASELINE_OVERHEAD = 2.0
 MIN_BASELINE_ACCOUNTING_SPEEDUP = 1.3
@@ -38,6 +41,18 @@ def fail(msg):
 
 def geomean(values):
     return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+def check_provenance(doc):
+    prov = doc.get("provenance")
+    if not isinstance(prov, dict):
+        fail("provenance block missing")
+    for key in PROVENANCE_KEYS:
+        if not isinstance(prov.get(key), str):
+            fail(f"provenance/{key} missing or not a string")
+    for key in ("commit", "compiler", "cpu"):
+        if not prov[key]:
+            fail(f"provenance/{key} is empty")
 
 
 def check_interp(doc):
@@ -128,6 +143,7 @@ def main():
     schema = doc.get("schema")
     if schema != INTERP_SCHEMA:
         fail(f"schema {schema!r} != {INTERP_SCHEMA!r}")
+    check_provenance(doc)
     overhead, accounting_speedup = check_interp(doc)
     if baseline:
         check_baseline(overhead, accounting_speedup)

@@ -4,11 +4,15 @@
 Checks that the file is valid JSON in the Chrome trace-event format
 and that the instrumented pipeline actually showed up: per-packet
 spans on more than one worker row (for a parallel run), dispatcher
-spans, and well-formed required fields on every event.
+spans, and well-formed required fields on every event.  With
+--expect-npe it also requires the sampled NPE32 event stream: at least
+one "npe.pc" counter sample and one "npe.mem.*" counter sample (a run
+recorded with PB_TRACE_SAMPLE set).
 
-Usage: check_trace.py TRACE.json
+Usage: check_trace.py TRACE.json [--expect-npe]
 """
 
+import argparse
 import json
 import sys
 
@@ -21,9 +25,12 @@ def fail(msg):
 
 
 def main():
-    if len(sys.argv) != 2:
-        fail("usage: check_trace.py TRACE.json")
-    with open(sys.argv[1]) as f:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("trace")
+    parser.add_argument("--expect-npe", action="store_true",
+                        help="require npe.pc and npe.mem.* samples")
+    opts = parser.parse_args()
+    with open(opts.trace) as f:
         doc = json.load(f)
 
     events = doc.get("traceEvents")
@@ -33,6 +40,8 @@ def main():
     packet_spans = 0
     packet_tids = set()
     dispatch_spans = 0
+    npe_pc = 0
+    npe_mem = 0
     thread_names = set()
     for ev in events:
         ph = ev.get("ph")
@@ -62,6 +71,10 @@ def main():
         elif ph == "C":
             if not ev.get("args"):
                 fail(f"counter event without args: {ev}")
+            if ev["name"] == "npe.pc":
+                npe_pc += 1
+            elif ev["name"].startswith("npe.mem."):
+                npe_mem += 1
 
     if packet_spans == 0:
         fail("no per-packet spans recorded")
@@ -73,10 +86,14 @@ def main():
         fail(f"no engine thread names: {thread_names}")
     if "dispatcher" not in thread_names:
         fail(f"no dispatcher thread name: {thread_names}")
+    if opts.expect_npe and (npe_pc == 0 or npe_mem == 0):
+        fail(f"NPE32 samples missing: {npe_pc} npe.pc, "
+             f"{npe_mem} npe.mem.* counter events")
 
     print(
         f"trace OK: {len(events)} events, {packet_spans} packet spans "
-        f"on {len(packet_tids)} rows, {dispatch_spans} dispatch spans"
+        f"on {len(packet_tids)} rows, {dispatch_spans} dispatch spans, "
+        f"{npe_pc} npe.pc and {npe_mem} npe.mem.* samples"
     )
 
 
