@@ -28,7 +28,7 @@
  *   --drop-full=0|1      full ring drops (NIC) vs blocks    (0)
  *   --ring=N             ingest ring capacity in packets    (4096)
  *   --batch=N            dispatcher hand-off batch          (64)
- *   --depth=N            per-engine queue depth in batches  (8)
+ *   --depth=N            per-engine queue: depth x batch packets (8)
  *   --speed-ms=N         console speed line period; 0 = off (1000)
  *
  * Faulting packets are dropped and counted (FaultPolicy::Drop) —

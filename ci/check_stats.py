@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Structural validator for the --stats NDJSON telemetry stream.
+"""Validator for the --stats NDJSON telemetry stream.
 
 Checks that every line is a well-formed packetbench.stats.v1 record
 (schema tag, strictly increasing seq and wall_ns, finite non-negative
-rates, well-formed top-K tables) and that the live plane actually
-observed the run: at least one record with a positive per-engine
-windowed packet rate and a non-empty top-K flow table.
+rates, well-formed top-K tables), that the live plane actually
+observed the run (at least one record with a positive per-engine
+windowed packet rate and a non-empty top-K flow table), and the run
+invariants: the cumulative counters never decrease from one record
+to the next, and the final record accounts for every packet
+(packets == sent + dropped + faults).
 
 Usage: check_stats.py STATS.ndjson
 """
@@ -26,6 +29,9 @@ PROCESS_COUNTERS = (
 )
 PROCESS_RATES = ("pps", "mips", "fault_pps")
 ENGINE_RATES = ("pps", "bps", "mips", "fault_pps")
+# Cumulative counters: never lower than in the previous record.
+MONOTONE_PROCESS = ("packets", "insts", "sent", "dropped", "faults")
+MONOTONE_ENGINE = ("packets", "faults")
 
 
 def fail(msg):
@@ -71,6 +77,40 @@ def check_topk(topk, where):
         if prev_packets is not None and entry["packets"] > prev_packets:
             fail(f"{where}: topk not sorted by packets desc")
         prev_packets = entry["packets"]
+
+
+def check_invariants(records):
+    """Counters never decrease; the final record balances exactly."""
+    prev_process = None
+    prev_engines = {}
+    for lineno, rec in records:
+        where = f"line {lineno}"
+        process = rec["process"]
+        if prev_process is not None:
+            for key in MONOTONE_PROCESS:
+                if process[key] < prev_process[key]:
+                    fail(f"{where}: process.{key} decreased from "
+                         f"{prev_process[key]} to {process[key]}")
+        prev_process = process
+        for eng in rec["engines"]:
+            before = prev_engines.get(eng["engine"])
+            if before is not None:
+                for key in MONOTONE_ENGINE:
+                    if eng[key] < before[key]:
+                        fail(f"{where}: engine {eng['engine']} {key} "
+                             f"decreased from {before[key]} to "
+                             f"{eng[key]}")
+            prev_engines[eng["engine"]] = eng
+
+    # Only the final record must balance: StatsPump::stop() writes it
+    # after the run body returns and every engine has joined, while a
+    # mid-run record reads pb.packets before the other counters.
+    lineno, last = records[-1]
+    p = last["process"]
+    if p["packets"] != p["sent"] + p["dropped"] + p["faults"]:
+        fail(f"line {lineno}: final record has packets {p['packets']} "
+             f"!= sent {p['sent']} + dropped {p['dropped']} + "
+             f"faults {p['faults']}")
 
 
 def main():
@@ -145,13 +185,14 @@ def main():
         fail("no record shows a positive per-engine windowed rate")
     if not saw_topk:
         fail("no record carries a non-empty top-K flow table")
+    check_invariants(records)
 
     last = records[-1][1]
     n_eng = len(last["engines"])
     print(
         f"stats OK: {len(records)} records over "
         f"{last['wall_ns'] / 1e9:.2f}s, {n_eng} engines, "
-        f"live rates and top-K present"
+        f"live rates, top-K and run invariants hold"
     )
 
 

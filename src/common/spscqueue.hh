@@ -1,158 +1,207 @@
 /**
  * @file
- * Bounded single-producer/single-consumer queue.
+ * Bounded single-producer/single-consumer queue: the one queue every
+ * packet hand-off uses.
  *
- * The parallel multi-engine run loop (core/multicore.hh) hands
- * batches of packets from one dispatcher thread to one worker thread
- * per engine.  That pairing is exactly SPSC, so the queue needs no
- * locks on the fast path: a ring buffer with an acquire/release
- * head/tail pair is enough, and the bounded capacity provides
- * back-pressure when the dispatcher outruns a worker.
+ * The daemon's replayer feeds the dispatcher through one
+ * (service/ingest.hh), and the parallel multi-engine run loop
+ * (core/multicore.hh) feeds each engine's worker through another.
+ * Each pairing is exactly SPSC, so the fast path needs no lock: a
+ * ring buffer with an acquire/release head/tail pair.  Items move in
+ * batches, one index store and one wake check per batch, and the
+ * bounded capacity (in items) is the back-pressure.
  *
- * Waiting is spin -> backoff -> park.  A pure yield() spin was fine
- * for finite batch runs, but a persistent daemon (service/daemon.hh)
- * pins one core per *idle* worker at 100% with it.  A blocked side
- * now spins briefly (cheap when the peer is actively streaming),
- * backs off with yields, then parks on a condition variable; the
- * peer wakes it only when someone is actually parked, so the
- * streaming fast path stays a pair of atomic ops plus one fence and
- * an un-contended flag load.
+ * A side that must wait parks on a condition variable at once; the
+ * peer takes the lock to wake it only when someone is parked, so the
+ * streaming path stays a pair of atomic ops plus one fence and an
+ * uncontended flag load.  Parked sides burn no CPU, which is the
+ * daemon's idle contract.  A caller that expects its peer to be
+ * streaming spins on tryPush()/tryPop() first (the engine hand-off
+ * in core/multicore.cc does).
  *
  * Contract:
- *  - exactly one thread calls push()/close(), exactly one calls pop(),
- *  - push() blocks (parking when idle) while the queue is full,
- *  - pop() blocks while the queue is empty and not closed, and
- *    returns false once the queue is closed *and* drained,
- *  - close() is called by the producer after its last push().
+ *  - exactly one thread pushes, exactly one pops; either may close(),
+ *  - push() queues items in order, parking while the queue is full,
+ *    and stops once the queue is closed,
+ *  - popBatch() parks while the queue is empty and returns false
+ *    once the queue is closed *and* drained,
+ *  - a closed queue refuses pushes and wakes both sides.
  */
 
 #ifndef PB_COMMON_SPSCQUEUE_HH
 #define PB_COMMON_SPSCQUEUE_HH
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <thread>
+#include <span>
 #include <vector>
 
 namespace pb
 {
 
-namespace detail
-{
-
-/** One polite spin-wait iteration for the pre-park phase. */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__) || defined(__arm__)
-    asm volatile("yield" ::: "memory");
-#else
-    std::this_thread::yield();
-#endif
-}
-
-} // namespace detail
-
-/** Bounded SPSC ring buffer holding up to @p capacity items. */
+/** Bounded SPSC ring buffer holding up to capacity() items. */
 template <typename T>
 class SpscQueue
 {
   public:
-    explicit SpscQueue(size_t capacity) : slots(capacity + 1) {}
+    /** @param capacity most queued items; 0 means 1 */
+    explicit SpscQueue(size_t capacity) : slots(capacity ? capacity : 1)
+    {
+    }
 
     SpscQueue(const SpscQueue &) = delete;
     SpscQueue &operator=(const SpscQueue &) = delete;
 
-    /** Producer: enqueue @p item, waiting while the queue is full. */
-    void
-    push(T &&item)
+    /**
+     * Producer: move @p items into the queue in order, parking while
+     * it is full.  Stops once the queue is closed; the items not
+     * queued are left in @p items.
+     * @return items queued, a prefix of @p items
+     */
+    size_t
+    push(std::span<T> items)
     {
-        size_t h = head.load(std::memory_order_relaxed);
-        size_t nh = next(h);
-        if (nh == tail.load(std::memory_order_acquire))
-            waitNotFull(nh);
-        slots[h] = std::move(item);
-        head.store(nh, std::memory_order_release);
-        wakePeer();
+        size_t queued = tryPush(items);
+        while (queued < items.size() && !closed()) {
+            park([this] { return closed() || !full(); });
+            queued += tryPush(items.subspan(queued));
+        }
+        return queued;
     }
 
     /**
-     * Consumer: dequeue into @p out, waiting while the queue is
-     * empty.  Returns false once the producer has close()d the queue
-     * and every item has been drained.
+     * Producer: move the prefix of @p items that fits now; never
+     * waits.  A closed queue takes nothing.
+     * @return items queued
+     */
+    size_t
+    tryPush(std::span<T> items)
+    {
+        if (closed())
+            return 0;
+        const size_t h = head.load(std::memory_order_relaxed);
+        const size_t free =
+            slots.size() - (h - tail.load(std::memory_order_acquire));
+        const size_t n = std::min(items.size(), free);
+        if (n == 0)
+            return 0;
+        size_t pos = h % slots.size();
+        for (size_t i = 0; i < n; i++) {
+            slots[pos] = std::move(items[i]);
+            if (++pos == slots.size())
+                pos = 0;
+        }
+        head.store(h + n, std::memory_order_release);
+        wakePeer();
+        return n;
+    }
+
+    /**
+     * Consumer: append up to @p max (>= 1) queued items to @p out,
+     * parking while the queue is empty.  Returns false, leaving
+     * @p out alone, once the queue is closed and drained.
      */
     bool
-    pop(T &out)
+    popBatch(std::vector<T> &out, size_t max)
     {
-        size_t t = tail.load(std::memory_order_relaxed);
-        if (t == head.load(std::memory_order_acquire)) {
-            if (!waitNotEmpty(t))
-                return false;
+        while (tryPop(out, max) == 0) {
+            // Re-check after seeing closed: the producer's last
+            // items are visible once its close() is.
+            if (closed())
+                return tryPop(out, max) > 0;
+            park([this] { return closed() || !empty(); });
         }
-        out = std::move(slots[t]);
-        tail.store(next(t), std::memory_order_release);
-        wakePeer();
         return true;
     }
 
-    /** Producer: no further push() calls will follow. */
+    /**
+     * Consumer: append up to @p max items queued now to @p out;
+     * never waits.
+     * @return items appended
+     */
+    size_t
+    tryPop(std::vector<T> &out, size_t max)
+    {
+        const size_t t = tail.load(std::memory_order_relaxed);
+        const size_t n =
+            std::min(max, head.load(std::memory_order_acquire) - t);
+        if (n == 0)
+            return 0;
+        size_t pos = t % slots.size();
+        for (size_t i = 0; i < n; i++) {
+            out.push_back(std::move(slots[pos]));
+            if (++pos == slots.size())
+                pos = 0;
+        }
+        tail.store(t + n, std::memory_order_release);
+        wakePeer();
+        return n;
+    }
+
+    /**
+     * Either side: refuse further pushes and wake both sides.  The
+     * consumer still drains what is queued.
+     */
     void
     close()
     {
         closed_.store(true, std::memory_order_release);
-        // Always lock-and-notify: a consumer parked on an empty
-        // queue must observe closed and return false.
+        // Always lock-and-notify: a parked side must observe closed.
         std::lock_guard<std::mutex> lock(mu);
         cv.notify_all();
     }
 
     /** True once close() was called (items may still be queued). */
-    bool closed() const
+    bool
+    closed() const
     {
         return closed_.load(std::memory_order_acquire);
     }
 
     /** Maximum number of queued items. */
-    size_t capacity() const { return slots.size() - 1; }
+    size_t capacity() const { return slots.size(); }
 
     /**
      * Approximate occupancy (racy by nature: either index may move
-     * while we read).  Good enough for back-pressure telemetry —
-     * the dispatcher samples it into queue-occupancy trace events.
+     * while we read).  Good enough for back-pressure telemetry.
      */
     size_t
     size() const
     {
-        size_t h = head.load(std::memory_order_acquire);
+        // Tail first, so the head read cannot be older than it.
         size_t t = tail.load(std::memory_order_acquire);
-        return h >= t ? h - t : h + slots.size() - t;
+        size_t h = head.load(std::memory_order_acquire);
+        return std::min(h - t, slots.size());
     }
 
   private:
-    /// Pause-loop iterations before escalating to yield().
-    static constexpr int pauseSpins = 256;
-    /// Total spin iterations (pause + yield) before parking.
-    static constexpr int maxSpins = 2048;
-
-    size_t
-    next(size_t i) const
+    bool
+    full() const
     {
-        return i + 1 == slots.size() ? 0 : i + 1;
+        return head.load(std::memory_order_relaxed) -
+                   tail.load(std::memory_order_acquire) ==
+               slots.size();
+    }
+
+    bool
+    empty() const
+    {
+        return head.load(std::memory_order_acquire) ==
+               tail.load(std::memory_order_relaxed);
     }
 
     /**
      * Dekker-style wake: the caller's index store (release) must be
      * ordered before the sleeper-flag load, and the sleeper's flag
-     * store before its index re-check; the seq_cst fences on both
-     * sides guarantee at least one thread sees the other.  Notify
-     * under the mutex so a wake cannot slip between the sleeper's
-     * final re-check and its wait.
+     * store before its re-check; the seq_cst fences on both sides
+     * guarantee at least one thread sees the other.  Notify under
+     * the mutex so a wake cannot slip between the sleeper's final
+     * re-check and its wait.
      */
     void
     wakePeer()
@@ -164,22 +213,15 @@ class SpscQueue
         cv.notify_all();
     }
 
-    /** Producer-side wait until slot @p nh is free. */
+    /** Park the calling side until @p ready() holds. */
+    template <typename Ready>
     void
-    waitNotFull(size_t nh)
+    park(Ready ready)
     {
-        for (int i = 0; i < maxSpins; i++) {
-            if (nh != tail.load(std::memory_order_acquire))
-                return;
-            if (i < pauseSpins)
-                detail::cpuRelax();
-            else
-                std::this_thread::yield();
-        }
         std::unique_lock<std::mutex> lock(mu);
         sleepers.fetch_add(1, std::memory_order_seq_cst);
         std::atomic_thread_fence(std::memory_order_seq_cst);
-        while (nh == tail.load(std::memory_order_acquire)) {
+        while (!ready()) {
             // Bounded wait as a belt-and-braces backstop; the fence
             // protocol above makes a lost wake impossible, so this
             // only turns "impossible" into "100 ms hiccup".
@@ -188,37 +230,11 @@ class SpscQueue
         sleepers.fetch_sub(1, std::memory_order_relaxed);
     }
 
-    /**
-     * Consumer-side wait until an item exists at @p t or the queue
-     * is closed and drained; true when an item is ready.
-     */
-    bool
-    waitNotEmpty(size_t t)
-    {
-        for (int i = 0; i < maxSpins; i++) {
-            if (t != head.load(std::memory_order_acquire))
-                return true;
-            if (closed_.load(std::memory_order_acquire))
-                return t != head.load(std::memory_order_acquire);
-            if (i < pauseSpins)
-                detail::cpuRelax();
-            else
-                std::this_thread::yield();
-        }
-        std::unique_lock<std::mutex> lock(mu);
-        sleepers.fetch_add(1, std::memory_order_seq_cst);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        while (t == head.load(std::memory_order_acquire) &&
-               !closed_.load(std::memory_order_acquire)) {
-            cv.wait_for(lock, std::chrono::milliseconds(100));
-        }
-        sleepers.fetch_sub(1, std::memory_order_relaxed);
-        return t != head.load(std::memory_order_acquire);
-    }
-
     std::vector<T> slots;
-    std::atomic<size_t> head{0}; ///< producer-owned write index
-    std::atomic<size_t> tail{0}; ///< consumer-owned read index
+    /// Items ever pushed; producer-owned.  Slot = index % capacity.
+    std::atomic<size_t> head{0};
+    /// Items ever popped; consumer-owned.
+    std::atomic<size_t> tail{0};
     std::atomic<bool> closed_{false};
 
     /** Threads parked (or about to park) on cv. */

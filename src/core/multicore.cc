@@ -9,6 +9,7 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <span>
 #include <thread>
 
 #include "common/hash.hh"
@@ -60,6 +61,74 @@ addOutcome(EngineLoad &load, const PacketOutcome &outcome,
     load.bytes += l3_len;
     if (outcome.faulted())
         load.faults++;
+}
+
+/**
+ * @name Engine hand-off spin budget.
+ * The dispatcher and the workers usually find their peer mid-stream,
+ * so each retries the non-waiting queue call before parking in the
+ * queue: handoffPauses pause instructions, then yields, handoffSpins
+ * iterations in all.  Parking at once costs throughput here; the
+ * queue itself never spins, so an idle daemon burns no CPU.
+ * @{
+ */
+constexpr int handoffPauses = 256;
+constexpr int handoffSpins = 2048;
+/** @} */
+
+/** Iteration @p i of the hand-off spin. */
+void
+spinPause(int i)
+{
+    if (i >= handoffPauses) {
+        std::this_thread::yield();
+        return;
+    }
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__) || defined(__arm__)
+    asm volatile("yield" ::: "memory");
+#else
+    std::this_thread::yield();
+#endif
+}
+
+using PacketQueue = SpscQueue<net::Packet>;
+
+/**
+ * Dispatcher: queue every packet of @p packets, spinning on tryPush()
+ * before parking in push().  Stops early only if the worker closed
+ * the queue.
+ */
+void
+spinThenPush(PacketQueue &queue, std::span<net::Packet> packets)
+{
+    size_t queued = queue.tryPush(packets);
+    for (int i = 0; i < handoffSpins && queued < packets.size() &&
+                    !queue.closed();
+         i++) {
+        spinPause(i);
+        queued += queue.tryPush(packets.subspan(queued));
+    }
+    if (queued < packets.size())
+        queue.push(packets.subspan(queued));
+}
+
+/**
+ * Worker: append up to @p max packets to @p out, spinning on tryPop()
+ * before parking in popBatch().  False once the queue is closed and
+ * drained.
+ */
+bool
+spinThenPop(PacketQueue &queue, std::vector<net::Packet> &out,
+            size_t max)
+{
+    for (int i = 0; i < handoffSpins && !queue.closed(); i++) {
+        if (queue.tryPop(out, max))
+            return true;
+        spinPause(i);
+    }
+    return queue.popBatch(out, max);
 }
 
 } // namespace
@@ -175,11 +244,11 @@ MultiCoreBench::runParallel(net::TraceSource &source,
     const uint32_t batch_size = std::max<uint32_t>(1, cfg.dispatchBatch);
     const uint32_t depth = std::max<uint32_t>(1, cfg.queueDepth);
 
-    using Batch = std::vector<net::Packet>;
-    std::vector<std::unique_ptr<SpscQueue<Batch>>> queues;
+    std::vector<std::unique_ptr<PacketQueue>> queues;
     queues.reserve(n);
     for (uint32_t e = 0; e < n; e++)
-        queues.push_back(std::make_unique<SpscQueue<Batch>>(depth));
+        queues.push_back(std::make_unique<PacketQueue>(
+            static_cast<size_t>(depth) * batch_size));
 
     std::mutex error_mu;
     std::exception_ptr first_error;
@@ -190,9 +259,8 @@ MultiCoreBench::runParallel(net::TraceSource &source,
     // and join order the accesses against this thread).  Workers
     // count into a private EngineLoad and fold it into loads[e] on
     // exit: neighbouring loads[] entries share a cache line.  A
-    // worker that throws records the exception, then keeps draining
-    // its queue so the dispatcher can never block on a full queue
-    // whose consumer is gone.
+    // worker that throws records the exception, raises abort and
+    // closes its own queue, which releases a dispatcher parked on it.
     std::vector<std::thread> workers;
     workers.reserve(n);
     for (uint32_t e = 0; e < n; e++) {
@@ -200,37 +268,38 @@ MultiCoreBench::runParallel(net::TraceSource &source,
             if (obs::traceEnabled())
                 obs::Tracer::instance().setThreadName(
                     strprintf("engine %u", e));
-            Batch batch;
+            PacketQueue &queue = *queues[e];
+            std::vector<net::Packet> batch;
+            batch.reserve(batch_size);
             EngineLoad load;
-            bool failed = false;
-            while (queues[e]->pop(batch)) {
+            while (spinThenPop(queue, batch, batch_size)) {
                 PB_TRACE_SPAN_NAMED(batch_span, "mc",
                                     "worker.batch");
                 batch_span.arg("engine",
                                static_cast<uint64_t>(e));
                 batch_span.arg("batch",
                                static_cast<uint64_t>(batch.size()));
-                if (!failed) {
-                    try {
-                        for (auto &packet : batch) {
-                            // Under Drop/Quarantine a faulting
-                            // packet is an outcome, not an
-                            // exception, so it cannot poison the
-                            // run; only Abort (or a framework bug)
-                            // reaches the catch below.
-                            uint64_t l3_len = packet.l3Len();
-                            addOutcome(load,
-                                       engines[e]->processPacket(packet),
-                                       l3_len);
-                        }
-                        engines[e]->publishInterpMetrics();
-                    } catch (...) {
+                try {
+                    for (auto &packet : batch) {
+                        // Under Drop/Quarantine a faulting packet is
+                        // an outcome, not an exception, so it cannot
+                        // poison the run; only Abort (or a framework
+                        // bug) reaches the catch below.
+                        uint64_t l3_len = packet.l3Len();
+                        addOutcome(load,
+                                   engines[e]->processPacket(packet),
+                                   l3_len);
+                    }
+                    engines[e]->publishInterpMetrics();
+                } catch (...) {
+                    {
                         std::lock_guard<std::mutex> lock(error_mu);
                         if (!first_error)
                             first_error = std::current_exception();
-                        abort.store(true, std::memory_order_release);
-                        failed = true;
                     }
+                    abort.store(true, std::memory_order_release);
+                    queue.close();
+                    break;
                 }
                 batch.clear();
             }
@@ -260,7 +329,7 @@ MultiCoreBench::runParallel(net::TraceSource &source,
                 tracer.intern(strprintf("mc.queue%u", e)));
     }
     // Queue-occupancy sampling for the live telemetry plane: the
-    // dispatcher publishes each queue's depth (in batches) after
+    // dispatcher publishes each queue's depth (in packets) after
     // every hand-off, so the stats pump reports how far each engine
     // is behind its feed.
     std::vector<obs::EngineTelemetry *> telem;
@@ -268,14 +337,15 @@ MultiCoreBench::runParallel(net::TraceSource &source,
     for (uint32_t e = 0; e < n; e++)
         telem.push_back(&obs::Telemetry::instance().engine(e));
 
-    std::vector<Batch> pending(n);
+    std::vector<std::vector<net::Packet>> pending(n);
     for (auto &batch : pending)
         batch.reserve(batch_size);
     auto push_batch = [&](uint32_t e) {
         PB_TRACE_SPAN_NAMED(span, "mc", "dispatch");
         span.arg("engine", static_cast<uint64_t>(e));
         span.arg("batch", static_cast<uint64_t>(pending[e].size()));
-        queues[e]->push(std::move(pending[e]));
+        spinThenPush(*queues[e], pending[e]);
+        pending[e].clear();
         batches_ctr.add(1);
         telem[e]->queueDepth.store(queues[e]->size(),
                                    std::memory_order_relaxed);
@@ -334,11 +404,8 @@ MultiCoreBench::runParallel(net::TraceSource &source,
             uint32_t e = placeByHash(valid[i], hash[i]);
             packets_ctr.add(1);
             pending[e].push_back(std::move(staged[i]));
-            if (pending[e].size() >= batch_size) {
+            if (pending[e].size() >= batch_size)
                 push_batch(e);
-                pending[e] = Batch();
-                pending[e].reserve(batch_size);
-            }
         }
     }
     for (uint32_t e = 0; e < n; e++) {

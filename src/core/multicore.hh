@@ -17,12 +17,16 @@
  *  - serial (default): every engine runs on the calling thread, the
  *    reference path;
  *  - parallel: one worker thread per engine, each owning its
- *    PacketBench, fed batches of packets through bounded SPSC queues
- *    by a dispatcher thread.  Dispatch decisions are made on the
- *    dispatcher thread in trace order with the same hash, so each
- *    engine sees the identical packet subsequence in the identical
- *    order as the serial path — per-engine outcomes are
- *    bit-identical; only wall-clock time changes.
+ *    PacketBench, fed by a dispatcher thread through one bounded
+ *    SpscQueue of packets per engine (queueDepth x dispatchBatch
+ *    packets).  The dispatcher hands over dispatchBatch packets at a
+ *    time and a worker pops up to as many; both spin briefly on the
+ *    non-waiting calls before parking in the queue.  Dispatch
+ *    decisions are made on the dispatcher thread in trace order with
+ *    the same hash, so each engine sees the identical packet
+ *    subsequence in the identical order as the serial path —
+ *    per-engine outcomes are bit-identical; only wall-clock time
+ *    changes.
  */
 
 #ifndef PB_CORE_MULTICORE_HH

@@ -146,10 +146,11 @@ struct BenchConfig
 
     /**
      * Run MultiCoreBench::run() with one worker thread per engine,
-     * fed by bounded SPSC queues from a dispatcher thread.  Off by
-     * default: the serial path is the reference the parallel path
-     * must match bit-for-bit (same flow-pinned dispatch, so the
-     * per-engine packet sequences are identical either way).
+     * fed by one bounded SpscQueue of packets per engine from a
+     * dispatcher thread.  Off by default: the serial path is the
+     * reference the parallel path must match bit-for-bit (same
+     * flow-pinned dispatch, so the per-engine packet sequences are
+     * identical either way).
      */
     bool parallel = false;
 
@@ -160,7 +161,10 @@ struct BenchConfig
      */
     uint32_t dispatchBatch = 64;
 
-    /** Per-engine queue capacity in batches (back-pressure bound). */
+    /**
+     * Per-engine queue bound in hand-off batches: the queue holds
+     * queueDepth x dispatchBatch packets (back-pressure bound).
+     */
     uint32_t queueDepth = 8;
 
     /**

@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -134,7 +135,7 @@ class SpeedReporter
                 ring.size(), ring.capacity(),
                 static_cast<unsigned long long>(replayer.packets()),
                 static_cast<unsigned long long>(replayer.loops()),
-                static_cast<unsigned long long>(ring.dropped()));
+                static_cast<unsigned long long>(replayer.dropped()));
         fflush(stderr);
     }
 
@@ -175,33 +176,29 @@ PacketBenchd::run(TraceReplayer::SourceFactory source_factory)
     ServiceResult res;
     replayer.start();
     IngestSource source(ring, "ingest");
+    std::exception_ptr error;
     try {
         res.mc = mc.run(source, UINT64_MAX);
     } catch (...) {
-        // An engine failed: release the producer (pushBatch()
-        // observes the closed ring) and the reporter before
-        // rethrowing, so the process dies from the engine's error,
-        // not a hang.
-        ring.close();
-        replayer.stop();
-        replayer.join();
-        if (reporter)
-            reporter->stop();
-        throw;
+        error = std::current_exception();
     }
 
-    // run() came back: either the replayer closed the ring (corpus
-    // done) or a shutdown broke the dispatcher loop.  Either way the
-    // producer unblocks promptly (pushBatch() polls the shutdown
-    // flag).
+    // run() came back: the replayer closed the ring (corpus done), a
+    // shutdown broke the dispatcher loop, or an engine failed.
+    // Closing the ring releases a replayer parked on a full one, so
+    // the process ends with a drained run or the engine's error, not
+    // a hang.
     replayer.stop();
+    ring.close();
     replayer.join();
     if (reporter)
         reporter->stop();
+    if (error)
+        std::rethrow_exception(error);
 
     res.replayed = replayer.packets();
     res.loops = replayer.loops();
-    res.ringDropped = ring.dropped();
+    res.ringDropped = replayer.dropped();
     res.wallSeconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0)

@@ -7,8 +7,11 @@
  *
  *   TraceReplayer --> IngestRing --> IngestSource --> MultiCoreBench
  *     (producer        (bounded       (TraceSource      (dispatcher +
- *      thread,          MPMC           adapter)           N engine
- *      paced)           buffer)                           workers)
+ *      thread,          SPSC           adapter)           N engine
+ *      paced)           queue)                            workers)
+ *
+ * Every hand-off, ring and engine queues alike, is one SpscQueue
+ * (common/spscqueue.hh) with one producer and one consumer.
  *
  * plus a speed-reporter thread that prints a periodic console line
  * (Mpps / Gbps / MIPS, aggregate and per engine).  The rates are
@@ -18,10 +21,11 @@
  * raises it.
  *
  * Shutdown: SIGINT/SIGTERM (installed by the binary via
- * common/shutdown.hh) stops the replayer, closes the ring, lets the
- * dispatcher drain every queued packet through the engines, and
- * returns normally from run() — so the caller's flush paths (stats,
- * trace, prom, report) all execute and the process exits 0.
+ * common/shutdown.hh) stops the dispatcher, which drains every
+ * packet it handed out through the engines; run() then closes the
+ * ring, releasing a replayer parked on it, and returns normally — so
+ * the caller's flush paths (stats, trace, prom, report) all execute
+ * and the process exits 0.
  */
 
 #ifndef PB_SERVICE_DAEMON_HH
@@ -69,7 +73,7 @@ struct ServiceResult
     /** Complete passes over the corpus. */
     uint64_t loops = 0;
 
-    /** Packets dropped at the ring (dropWhenFull overruns). */
+    /** Packets the full ring refused (dropWhenFull overruns). */
     uint64_t ringDropped = 0;
 
     /** Host wall-clock of the whole run. */

@@ -3,10 +3,11 @@
  * TraceReplayer implementation.
  *
  * Termination paths all converge on closing the ring from run():
- * corpus exhausted (non-loop), maxPackets reached, stop() called, or
- * process shutdown requested.  The consumer then drains what is
- * queued and sees end-of-trace, so no packet accepted into the ring
- * is ever lost to teardown.
+ * corpus exhausted (non-loop), maxPackets reached, stop() called,
+ * process shutdown requested, or the consumer closed the ring.  A
+ * consumer that did not close it then drains what is queued and sees
+ * end-of-trace, so no packet accepted into the ring is lost to
+ * teardown.
  */
 
 #include "replay.hh"
@@ -60,25 +61,30 @@ void
 TraceReplayer::run()
 {
     TokenBucket bucket(cfg.ratePps, cfg.burst);
-    const size_t batch_max = std::min(IngestRing::maxBatch,
-                                      ring.capacity());
+    const size_t batch_max = std::min(ingestBatch, ring.capacity());
     std::vector<net::Packet> batch;
     batch.reserve(batch_max);
     uint64_t taken = 0; // packets pulled into a batch (maxPackets)
 
-    // Hand the local batch to the ring.  Returns false when a
-    // blocking push was cut short (ring closed under us, or
-    // shutdown); dropped overruns are still offered packets.
+    // Hand the local batch to the ring.  Returns false once the ring
+    // is closed under us; dropped overruns are still offered packets.
     auto hand_over = [&] {
         if (batch.empty())
             return true;
-        size_t n = batch.size();
-        size_t queued = cfg.dropWhenFull ? ring.tryPushBatch(batch)
-                                         : ring.pushBatch(batch);
-        uint64_t offered = cfg.dropWhenFull ? n : queued;
+        const size_t n = batch.size();
+        const size_t queued =
+            cfg.dropWhenFull ? ring.tryPush(batch) : ring.push(batch);
+        batch.clear();
+        PB_COUNTER_ADD("service.ingest.accepted", queued);
+        uint64_t offered = queued;
+        if (cfg.dropWhenFull) {
+            offered = n;
+            refused.fetch_add(n - queued, std::memory_order_relaxed);
+            PB_COUNTER_ADD("service.ingest.dropped", n - queued);
+        }
         sent.fetch_add(offered, std::memory_order_relaxed);
         PB_COUNTER_ADD("service.replay.packets", offered);
-        return cfg.dropWhenFull || queued == n;
+        return queued == n || (cfg.dropWhenFull && !ring.closed());
     };
 
     bool done = false;

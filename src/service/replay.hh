@@ -7,22 +7,23 @@
  * TraceSource (fresh instance per pass, via a factory, so `--loop`
  * can recycle a finite corpus indefinitely), paces them through a
  * TokenBucket (service/ratelimit.hh), and feeds them into an
- * IngestRing (service/ingest.hh).  When the corpus is exhausted (or
- * maxPackets reached, or stop()/shutdown requested) it closes the
- * ring, which is the end-of-input signal the consumer side
- * (IngestSource) turns into end-of-trace.
+ * IngestRing (service/ingest.hh), whose only producer it is.  When
+ * the corpus is exhausted (or maxPackets reached, or stop()/shutdown
+ * requested) it closes the ring, which is the end-of-input signal
+ * the consumer side (IngestSource) turns into end-of-trace.  A ring
+ * closed by its consumer ends the replay.
  *
  * Packets travel in batches: the producer fills a local batch of up
- * to IngestRing::maxBatch packets and hands it over when it is full,
- * before the token bucket makes it sleep, and before it closes the
- * ring — so a paced replay never holds a packet back while it waits.
+ * to ingestBatch packets and hands it over when it is full, before
+ * the token bucket makes it sleep, and before it closes the ring —
+ * so a paced replay never holds a packet back while it waits.
  * maxPackets and packets() still count single packets.
  *
- * Overrun policy: by default the replayer blocks on a full ring
+ * Overrun policy: by default the replayer parks on a full ring
  * (back-pressure — no packet is lost, the effective rate degrades to
- * what the engines sustain).  With dropWhenFull it uses
- * tryPushBatch() instead — NIC semantics: the offered rate is held
- * and overruns are counted as drops ("service.ingest.dropped").
+ * what the engines sustain).  With dropWhenFull it uses tryPush()
+ * instead — NIC semantics: the offered rate is held and overruns are
+ * counted as drops (dropped(), "service.ingest.dropped").
  */
 
 #ifndef PB_SERVICE_REPLAY_HH
@@ -108,6 +109,12 @@ class TraceReplayer
         return passes.load(std::memory_order_relaxed);
     }
 
+    /** Packets the full ring refused under dropWhenFull so far. */
+    uint64_t dropped() const
+    {
+        return refused.load(std::memory_order_relaxed);
+    }
+
   private:
     void run();
 
@@ -120,6 +127,7 @@ class TraceReplayer
     std::atomic<bool> stopRequested{false};
     std::atomic<uint64_t> sent{0};
     std::atomic<uint64_t> passes{0};
+    std::atomic<uint64_t> refused{0};
 };
 
 } // namespace pb::service

@@ -81,7 +81,7 @@ TEST_F(PacketBenchdTest, ProcessesWholeCorpusThroughRing)
 
 TEST_F(PacketBenchdTest, RingPathMatchesSerialOracleUnderStealing)
 {
-    // The service path adds a replayer thread and the MPMC ring in
+    // The service path adds a replayer thread and the ingest ring in
     // front of the dispatcher, but packets still arrive in trace
     // order — so per-engine outcomes must stay bit-identical to a
     // plain serial MultiCoreBench run of the same corpus, even with

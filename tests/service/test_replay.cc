@@ -1,8 +1,8 @@
 /**
  * @file
  * TraceReplayer tests: one-pass replay, looped replay bounded by
- * maxPackets, stop() on an infinite loop, pacing, and the batch
- * hand-off before each wait for a token.
+ * maxPackets, stop() on an infinite loop, pacing, the batch hand-off
+ * before each wait for a token, and drop counting on a full ring.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "common/shutdown.hh"
 #include "net/tracegen.hh"
+#include "obs/metrics.hh"
 #include "service/replay.hh"
 
 namespace
@@ -38,7 +39,7 @@ drain(IngestRing &ring)
 {
     uint64_t n = 0;
     std::vector<net::Packet> out;
-    while (ring.popBatch(out)) {
+    while (ring.popBatch(out, ingestBatch)) {
         n += out.size();
         out.clear();
     }
@@ -152,6 +153,26 @@ TEST_F(TraceReplayerTest, PacedReplayHandsOverBeforeWaitingForTokens)
     consumer.join();
     EXPECT_GE(seen, 20u);
     EXPECT_EQ(delivered.load(), replayer.packets());
+}
+
+TEST_F(TraceReplayerTest, DropWhenFullCountsRefusedPackets)
+{
+    // No consumer: the first 16 packets fill the ring and the full
+    // ring refuses the other 484, which are offered all the same.
+    ReplayConfig cfg;
+    cfg.dropWhenFull = true;
+    IngestRing ring(16);
+    obs::Counter &dropped_ctr =
+        obs::defaultRegistry().counter("service.ingest.dropped");
+    const uint64_t dropped_before = dropped_ctr.value();
+    TraceReplayer replayer(lanCorpus(500), ring, cfg);
+    replayer.start();
+    replayer.join();
+    EXPECT_EQ(replayer.packets(), 500u);
+    EXPECT_EQ(replayer.dropped(), 484u);
+    EXPECT_EQ(dropped_ctr.value() - dropped_before, 484u);
+    EXPECT_EQ(ring.size(), 16u);
+    EXPECT_TRUE(ring.closed());
 }
 
 TEST_F(TraceReplayerTest, ShutdownRequestEndsLoopedReplay)
