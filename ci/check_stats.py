@@ -5,10 +5,19 @@ Checks that every line is a well-formed packetbench.stats.v1 record
 (schema tag, strictly increasing seq and wall_ns, finite non-negative
 rates, well-formed top-K tables), that the live plane actually
 observed the run (at least one record with a positive per-engine
-windowed packet rate and a non-empty top-K flow table), and the run
-invariants: the cumulative counters never decrease from one record
-to the next, and the final record accounts for every packet
-(packets == sent + dropped + faults).
+packet rate and a non-empty top-K flow table), and the run
+invariants:
+
+- the cumulative counters never decrease from one record to the next;
+- in every record after the first, each rate is its total's delta:
+  an engine's pps and fault_pps are the change in its packets and
+  faults since the previous record (0 for an engine the previous
+  record lacks) over interval_ns, and the process pps, mips and
+  fault_pps are the change in packets, insts and faults, up to the
+  rounding of the %.6g output;
+- the final record accounts for every packet (packets == sent +
+  dropped + faults), and its engines' packets and faults sum to the
+  process packets and faults.
 
 Usage: check_stats.py STATS.ndjson
 """
@@ -79,28 +88,71 @@ def check_topk(topk, where):
         prev_packets = entry["packets"]
 
 
+def rounds_to(reported, expected):
+    """True when reported is expected printed with %.6g."""
+    if expected == 0:
+        return reported == 0
+    # Half a unit in the sixth significant digit, of the larger value
+    # in case rounding carried into the next decade.
+    magnitude = max(abs(reported), abs(expected))
+    half_unit = 0.5 * 10 ** (math.floor(math.log10(magnitude)) - 5)
+    return abs(reported - expected) <= half_unit * (1 + 1e-9)
+
+
+def check_rate_is_delta(where, what, reported, delta, interval_ns,
+                        scale=1.0):
+    expected = delta * 1e9 / interval_ns / scale
+    if not rounds_to(reported, expected):
+        fail(f"{where}: {what} {reported} != delta {delta} over "
+             f"interval_ns {interval_ns} ({expected:.6g})")
+
+
+# (rate key, total key, divisor): each rate is its total's delta.
+PROCESS_DELTAS = (("pps", "packets", 1.0), ("mips", "insts", 1e6),
+                  ("fault_pps", "faults", 1.0))
+ENGINE_DELTAS = (("pps", "packets", 1.0), ("fault_pps", "faults", 1.0))
+
+
 def check_invariants(records):
-    """Counters never decrease; the final record balances exactly."""
+    """Counters never decrease, every rate is its total's delta, and
+    the final record balances exactly."""
     prev_process = None
     prev_engines = {}
     for lineno, rec in records:
         where = f"line {lineno}"
         process = rec["process"]
+        interval_ns = rec["interval_ns"]
         if prev_process is not None:
             for key in MONOTONE_PROCESS:
                 if process[key] < prev_process[key]:
                     fail(f"{where}: process.{key} decreased from "
                          f"{prev_process[key]} to {process[key]}")
-        prev_process = process
+            for rate, total, scale in PROCESS_DELTAS:
+                check_rate_is_delta(
+                    where, f"process.{rate}", process[rate],
+                    process[total] - prev_process[total], interval_ns,
+                    scale)
+        engines = {}
         for eng in rec["engines"]:
-            before = prev_engines.get(eng["engine"])
+            eng_id = eng["engine"]
+            before = prev_engines.get(eng_id)
             if before is not None:
                 for key in MONOTONE_ENGINE:
                     if eng[key] < before[key]:
-                        fail(f"{where}: engine {eng['engine']} {key} "
+                        fail(f"{where}: engine {eng_id} {key} "
                              f"decreased from {before[key]} to "
                              f"{eng[key]}")
-            prev_engines[eng["engine"]] = eng
+            # The first record covers the time since pump start, which
+            # no earlier record brackets.
+            if prev_process is not None:
+                for rate, total, scale in ENGINE_DELTAS:
+                    was = before[total] if before is not None else 0
+                    check_rate_is_delta(
+                        where, f"engine {eng_id} {rate}", eng[rate],
+                        eng[total] - was, interval_ns, scale)
+            engines[eng_id] = eng
+        prev_process = process
+        prev_engines = engines
 
     # Only the final record must balance: StatsPump::stop() writes it
     # after the run body returns and every engine has joined, while a
@@ -111,6 +163,11 @@ def check_invariants(records):
         fail(f"line {lineno}: final record has packets {p['packets']} "
              f"!= sent {p['sent']} + dropped {p['dropped']} + "
              f"faults {p['faults']}")
+    for key in MONOTONE_ENGINE:
+        engine_sum = sum(eng[key] for eng in last["engines"])
+        if engine_sum != p[key]:
+            fail(f"line {lineno}: final record's engines sum to "
+                 f"{key} {engine_sum} != process {key} {p[key]}")
 
 
 def main():
@@ -182,7 +239,7 @@ def main():
                 saw_topk = True
 
     if not saw_engine_pps:
-        fail("no record shows a positive per-engine windowed rate")
+        fail("no record shows a positive per-engine packet rate")
     if not saw_topk:
         fail("no record carries a non-empty top-K flow table")
     check_invariants(records)
@@ -192,7 +249,7 @@ def main():
     print(
         f"stats OK: {len(records)} records over "
         f"{last['wall_ns'] / 1e9:.2f}s, {n_eng} engines, "
-        f"live rates, top-K and run invariants hold"
+        f"live rates are deltas, top-K and run invariants hold"
     )
 
 

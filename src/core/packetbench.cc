@@ -238,19 +238,14 @@ PacketBench::recordFault(const net::Packet &capture, FaultKind kind,
     mySimNs += sim_ns;
     if (uarch)
         publishUarchMetrics();
-    telem->count(outcome.stats.instCount, capture.l3Len());
+    telem->countFault(outcome.stats.instCount, capture.l3Len());
 
-    // A faulted packet is traffic too: while a pump runs it shows up
-    // in the windowed fault rate and against its flow, so a flow of
-    // poison packets surfaces in the live top-K table.
-    if (obs::statsEnabled()) {
-        uint64_t now_ns = obs::telemetryNowNs();
-        telem->record(now_ns, outcome.stats.instCount,
-                      capture.l3Len(), true);
-        if (flow_valid)
-            telem->topk.observe(net::flowHash(flow), toFlowId(flow),
-                                capture.l3Len(), true);
-    }
+    // A faulted packet is traffic too: while a pump runs it counts
+    // against its flow, so a flow of poison packets surfaces in the
+    // live top-K table.
+    if (obs::statsEnabled() && flow_valid)
+        telem->topk.observe(net::flowHash(flow), toFlowId(flow),
+                            capture.l3Len(), true);
 
     PB_LOG(Debug, "%s: packet fault (%s): %s", app.name().c_str(),
            faultKindName(kind), outcome.faultMessage.c_str());
@@ -410,16 +405,10 @@ PacketBench::processPacket(net::Packet &packet)
         publishUarchMetrics();
     telem->count(outcome.stats.instCount, l3_len);
 
-    // Windowed live telemetry, only while a stats pump runs (the
-    // whole plane stays behind one relaxed load and a branch when
-    // off); reuses the sim-end timestamp so even the enabled hot
-    // path takes no extra clock read.
+    // Per-packet live telemetry, only while a stats pump runs (one
+    // relaxed load and a branch when off).
     if (obs::statsEnabled()) {
-        uint64_t now_ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                sim_end.time_since_epoch())
-                .count());
-        telem->record(now_ns, outcome.stats.instCount, l3_len, false);
+        telem->instsPerPacket.observe(outcome.stats.instCount);
         if (flow_valid)
             telem->topk.observe(net::flowHash(flow), toFlowId(flow),
                                 l3_len, false);
@@ -470,8 +459,6 @@ PacketBench::run(net::TraceSource &source, uint32_t max_packets,
         // Instantaneous rate over the interval since the previous
         // beat next to the cumulative average since run start, so a
         // stall or burst is visible against the run's overall pace.
-        // Beat-to-beat deltas cost nothing per packet, unlike the
-        // windowed estimators (which only run under a stats pump).
         double beat_s =
             std::chrono::duration<double>(now - beat_at).count();
         double now_pps =

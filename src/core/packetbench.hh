@@ -296,12 +296,12 @@ class PacketBench
                               const net::FiveTuple &flow);
 
     /**
-     * Live telemetry (obs/stats.hh) for this engine: windowed rates,
-     * the rolling instructions-per-packet histogram, and the
-     * per-flow top-K table, fed per packet only while a stats pump
-     * runs (obs::statsEnabled()) — the disabled path is one relaxed
-     * load and a branch.  The since-start totals are fed on every
-     * packet, on a cache line only this engine writes.
+     * Live telemetry (obs/stats.hh) for this engine.  The since-start
+     * totals are fed on every packet, on a cache line only this
+     * engine writes.  The instructions-per-packet histogram and the
+     * per-flow top-K table are fed only while a stats pump runs
+     * (obs::statsEnabled()); the disabled path is one relaxed load
+     * and a branch.
      */
     obs::EngineTelemetry *telem = nullptr;
 

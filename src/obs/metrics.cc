@@ -76,10 +76,14 @@ Histogram::observe(uint64_t sample)
     s.buckets[bucketOf(sample)]++;
 }
 
-size_t
-Histogram::bucketIndex(uint64_t sample)
+void
+Histogram::reset()
 {
-    return bucketOf(sample);
+    for (Stripe &s : stripes) {
+        std::lock_guard<std::mutex> lock(s.mu);
+        s.count = s.sum = s.min = s.max = 0;
+        std::fill(std::begin(s.buckets), std::end(s.buckets), 0);
+    }
 }
 
 uint64_t
@@ -232,12 +236,7 @@ Registry::reset()
             s.g->value_.store(0.0, std::memory_order_relaxed);
             break;
           case MetricKind::Histogram:
-            for (auto &stripe : s.h->stripes) {
-                std::lock_guard<std::mutex> hlock(stripe.mu);
-                stripe.count = stripe.sum = stripe.min = stripe.max = 0;
-                for (auto &bucket : stripe.buckets)
-                    bucket = 0;
-            }
+            s.h->reset();
             break;
         }
     }
@@ -343,7 +342,7 @@ constexpr HelpRow helpTable[] = {
     {"obs.stats.snapshot_ns",
      "Wall nanoseconds the stats pump spent snapshotting"},
     {"stats.engine",
-     "Live windowed per-engine telemetry (stats pump)", true},
+     "Live per-engine rates over the stats-pump interval", true},
 };
 
 /** HELP text for @p name (dotted registry name, pre-sanitization). */

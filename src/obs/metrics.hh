@@ -26,6 +26,13 @@
  * sum every stripe.  Engine workers that bump the same metric on
  * every packet therefore never write the same cache line, the
  * per-core-counter idiom of packet-processing daemons.
+ *
+ * Every series here is a since-start total or a last-written value.
+ * Live rates are derived from them, not stored: the stats pump
+ * (obs/stats.hh) differences totals between ticks, and a Histogram
+ * works unregistered too, as each engine's instructions-per-packet
+ * distribution, whose bucket counts the pump differences the same
+ * way.
  */
 
 #ifndef PB_OBS_METRICS_HH
@@ -187,19 +194,13 @@ class Histogram
 
     Snapshot snapshot() const;
 
+    /** Zero every stripe. */
+    void reset();
+
     /** Inclusive upper bound of bucket @p index. */
     static uint64_t bucketUpperBound(size_t index);
 
-    /**
-     * Index of the bucket holding @p sample (the inverse of
-     * bucketUpperBound, shared with obs::WindowedHistogram so the
-     * rolling and since-start views use identical edges).
-     */
-    static size_t bucketIndex(uint64_t sample);
-
   private:
-    friend class Registry;
-
     struct alignas(cacheLineBytes) Stripe
     {
         mutable std::mutex mu;

@@ -1,29 +1,34 @@
 /**
  * @file
- * Live telemetry plane: per-engine windowed state and the streaming
- * stats pump.
+ * Live telemetry plane: per-engine since-start totals and the stats
+ * pump that turns them into live rates.
  *
  * Everything the registry (obs/metrics.hh) exports is
  * cumulative-since-start and written once at process exit; this
  * module makes the run observable *while it happens*:
  *
  *  - Telemetry is the process-global hub of per-engine
- *    EngineTelemetry records: sliding-window rates (packets, bytes,
- *    instructions, faults — obs/window.hh), a rolling
- *    instructions-per-packet histogram, a space-saving top-K flow
- *    table (obs/topk.hh), and the dispatcher's queue-occupancy
- *    sample.  While a pump runs, PacketBench feeds its engine's
- *    record on every packet and the dispatcher samples queue depth
- *    per batch.  Gate or no gate, each engine also keeps since-start
- *    packet/byte/instruction totals in its record, which is what the
- *    packetbenchd console speed line differences between ticks.
+ *    EngineTelemetry records.  Every engine counts each packet it
+ *    processes into its record's since-start totals (packets, layer-3
+ *    bytes, instructions, faults), gate or no gate.  While an NDJSON
+ *    pump runs, PacketBench also feeds the record's
+ *    instructions-per-packet histogram and space-saving top-K flow
+ *    table (obs/topk.hh), and the dispatcher samples queue depth per
+ *    batch.
  *
- *  - StatsPump is a background thread that, every PB_STATS_MS
- *    milliseconds (default 1000), snapshots the registry plus the
- *    hub and appends one NDJSON record (schema packetbench.stats.v1,
- *    one JSON object per line) to the file named by the `--stats`
- *    bench flag, and optionally rewrites the `--prom` Prometheus
- *    snapshot in place so scrapers see live values mid-run.
+ *  - StatsPump is a background thread that, every interval, reads
+ *    the registry's and every engine's totals back to back and hands
+ *    the one sample to up to three sinks: an NDJSON record (schema
+ *    packetbench.stats.v1, one JSON object per line) appended to the
+ *    `--stats` file, a rewrite of the `--prom` Prometheus snapshot so
+ *    scrapers see live values mid-run, and a console speed line
+ *    (packetbenchd's "[packetbenchd] X Mpps ..." line).
+ *
+ * A live rate has one definition: the change in a since-start total
+ * over the tick's interval_ns.  The pump takes every total as its
+ * previous sample at start(), so the first record covers only what
+ * ran after start, and each engine's insts_per_packet holds the
+ * histogram buckets added since the previous tick.
  *
  * Record schema (one line each):
  *
@@ -35,32 +40,34 @@
  *    "engines": [
  *      {"engine": 0, "packets": N, "pps": r, "bps": r, "mips": r,
  *       "faults": N, "fault_pps": r, "queue_depth": n,
- *       "insts_per_packet": {"p50": n, "p99": n, "mean": r},
+ *       "insts_per_packet": {"count": n, "mean": r, "p50": n,
+ *                            "p99": n},
  *       "topk": [{"flow": "a:p > b:q/proto", "hash": h,
  *                 "packets": N, "bytes": N, "faults": N,
  *                 "error": N}, ...]} ...]}
  *
- * All rates are windowed (obs/window.hh, one-second window), not
- * since-start averages; process pps/fault_pps are deltas over the
- * pump interval.  wall_ns counts from pump start and is strictly
- * monotone across records; ci/check_stats.py validates a stream.
+ * Counts (packets, insts, faults...) are since-start totals; every
+ * rate is its total's delta over interval_ns.  wall_ns counts from
+ * pump start and is strictly monotone across records;
+ * ci/check_stats.py validates a stream, rates included.
  *
- * Cost contract: with no pump running, statsEnabled() is false and
- * the entire per-packet hook — windowed records and flow accounting
- * alike — is one relaxed atomic load plus a branch (same bar as
- * tracing, enforced by the StatsOverhead test).  Enabled, the
- * windowed rate updates reuse timestamps the framework already
- * takes, so the pump adds no clock reads to the hot path.
+ * Cost contract: with no NDJSON pump running, statsEnabled() is
+ * false and the gated part of the per-packet hook — the histogram
+ * and flow accounting — is one relaxed atomic load plus a branch
+ * (same bar as tracing, enforced by the StatsOverhead test).  The
+ * totals cost a relaxed load and store each on a cache line only the
+ * engine writes, so the console line needs no gate.
  */
 
 #ifndef PB_OBS_STATS_HH
 #define PB_OBS_STATS_HH
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,7 +76,6 @@
 
 #include "obs/metrics.hh"
 #include "obs/topk.hh"
-#include "obs/window.hh"
 
 namespace pb::obs
 {
@@ -80,7 +86,7 @@ namespace detail
 extern std::atomic<bool> statsEnabledFlag;
 } // namespace detail
 
-/** True while a StatsPump is running (one relaxed load). */
+/** True while an NDJSON StatsPump is running (one relaxed load). */
 inline bool
 statsEnabled()
 {
@@ -88,24 +94,14 @@ statsEnabled()
 }
 
 /**
- * Raise or lower the per-packet telemetry gate directly.  StatsPump
- * toggles it around start()/stop(); tests and overhead probes flip
- * it to time the two paths.
+ * Raise or lower the per-packet telemetry gate directly.  An NDJSON
+ * StatsPump toggles it around start()/stop(); tests and overhead
+ * probes flip it to time the two paths.
  */
 inline void
 setStatsEnabled(bool on)
 {
     detail::statsEnabledFlag.store(on, std::memory_order_relaxed);
-}
-
-/** Nanoseconds on the telemetry clock (steady, process-wide). */
-inline uint64_t
-telemetryNowNs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
 }
 
 /**
@@ -127,38 +123,23 @@ struct EngineTelemetry
         std::atomic<uint64_t> packets{0};
         std::atomic<uint64_t> bytes{0};
         std::atomic<uint64_t> insts{0};
+        std::atomic<uint64_t> faults{0};
     };
     Totals totals;
 
     uint32_t engineId = 0;
 
-    WindowedRate packets;
-    WindowedRate bytes;
-    WindowedRate insts;
-    WindowedRate faults;
-    WindowedHistogram instsPerPacket;
+    /**
+     * Instructions per completed packet, fed only while
+     * statsEnabled(), like pb.insts_per_packet.  Not registered: the
+     * pump reports the buckets added since its previous tick.
+     */
+    Histogram instsPerPacket;
 
     /** Dispatcher queue occupancy in batches (parallel runs). */
     std::atomic<uint64_t> queueDepth{0};
 
     FlowTopK topk;
-
-    /**
-     * Windowed per-packet accounting — called by PacketBench for
-     * every completed or faulted packet while a pump runs, with the
-     * timestamp it already took for sim-time accounting.
-     */
-    void
-    record(uint64_t now_ns, uint64_t insts_n, uint64_t bytes_n,
-           bool fault)
-    {
-        packets.add(1, now_ns);
-        bytes.add(bytes_n, now_ns);
-        insts.add(insts_n, now_ns);
-        if (fault)
-            faults.add(1, now_ns);
-        instsPerPacket.observe(insts_n, now_ns);
-    }
 
     /**
      * Add one processed packet to totals.  One writer owns an engine
@@ -168,17 +149,29 @@ struct EngineTelemetry
     void
     count(uint64_t insts_n, uint64_t bytes_n)
     {
-        auto bump = [](std::atomic<uint64_t> &total, uint64_t n) {
-            total.store(total.load(std::memory_order_relaxed) + n,
-                        std::memory_order_relaxed);
-        };
         bump(totals.packets, 1);
         bump(totals.bytes, bytes_n);
         bump(totals.insts, insts_n);
     }
 
-    /** Zero every window, the totals and the flow table (test hook). */
+    /** count() one faulted packet, and add it to the fault total. */
+    void
+    countFault(uint64_t insts_n, uint64_t bytes_n)
+    {
+        count(insts_n, bytes_n);
+        bump(totals.faults, 1);
+    }
+
+    /** Zero the totals, the histogram and the flow table (test hook). */
     void reset();
+
+  private:
+    static void
+    bump(std::atomic<uint64_t> &total, uint64_t n)
+    {
+        total.store(total.load(std::memory_order_relaxed) + n,
+                    std::memory_order_relaxed);
+    }
 };
 
 /**
@@ -210,15 +203,21 @@ class Telemetry
 };
 
 /**
- * Background stats streamer.  start() spawns the pump thread and
- * raises statsEnabled(); stop() (or destruction) writes one final
- * record and joins.  The pump publishes its own cost as
- * obs.stats.snapshot_ns / obs.stats.records in the default registry,
- * so the run report shows what observing the run cost.
+ * The one live-rate reporter.  start() spawns the pump thread;
+ * stop() (or destruction) runs one final tick and joins.  Each tick
+ * reads every since-start total once and feeds the configured sinks:
+ * the NDJSON record (start() with a path), the Prometheus rewrite
+ * (setPromPath) and the console speed line (setConsole).  An NDJSON
+ * pump publishes its own cost as obs.stats.snapshot_ns /
+ * obs.stats.records in the default registry, so the run report shows
+ * what observing the run cost.
  */
 class StatsPump
 {
   public:
+    /** Service-specific text appended to each console line. */
+    using ConsoleTail = std::function<std::string()>;
+
     // Out of line: members reference std::ofstream, which is
     // deliberately incomplete here (<iosfwd>).
     StatsPump();
@@ -243,15 +242,27 @@ class StatsPump
     void setPromPath(const std::string &path);
 
     /**
-     * Begin streaming NDJSON records to @p path every
-     * @p interval_ms.  fatal() when the file cannot be created.
+     * Also print one speed line to stderr on every tick:
+     * "[label] X Mpps Y Gbps Z MIPS | e0=.. e1=..", summed over
+     * engines 0 .. @p num_engines - 1 (the MultiCoreBench ids),
+     * followed by @p tail().  Call before start().
+     */
+    void setConsole(std::string label, uint32_t num_engines,
+                    ConsoleTail tail);
+
+    /**
+     * Start ticking every @p interval_ms.  With a non-empty @p path,
+     * each tick appends one NDJSON record there (fatal() when the
+     * file cannot be created) and statsEnabled() stays up until
+     * stop().  With an empty @p path only the Prometheus and console
+     * sinks run, and the per-packet gate stays down.
      */
     void start(const std::string &path, uint32_t interval_ms);
 
-    /** Write a final record, stop the thread, close the stream. */
+    /** Run a final tick, stop the thread, close the stream. */
     void stop();
 
-    /** Records written so far. */
+    /** Ticks emitted so far. */
     uint64_t
     records() const
     {
@@ -259,8 +270,52 @@ class StatsPump
     }
 
   private:
+    /**
+     * One engine as a tick saw it: its since-start totals, and their
+     * rates over the tick's interval.
+     */
+    struct EngineSample
+    {
+        const EngineTelemetry *telem = nullptr;
+        uint64_t packets = 0;
+        uint64_t bytes = 0;
+        uint64_t insts = 0;
+        uint64_t faults = 0;
+        uint64_t queueDepth = 0;
+        Histogram::Snapshot instsPerPacket; ///< since start
+        double pps = 0.0;
+        double bps = 0.0;
+        double mips = 0.0;
+        double faultPps = 0.0;
+        Histogram::Snapshot addedInstsPerPacket; ///< this interval
+    };
+
+    /** The one sample a tick hands to every sink. */
+    struct Sample
+    {
+        uint64_t wallNs = 0;
+        uint64_t intervalNs = 0;
+        uint64_t packets = 0;
+        uint64_t insts = 0;
+        uint64_t sent = 0;
+        uint64_t dropped = 0;
+        uint64_t faults = 0;
+        uint64_t traceDropped = 0;
+        double pps = 0.0;
+        double mips = 0.0;
+        double faultPps = 0.0;
+        std::map<uint32_t, EngineSample> engines; ///< by engine id
+    };
+
+    /** Read every since-start total, back to back. */
+    Sample readTotals() const;
+    /** Fill @p now's rates: its totals' growth since prev. */
+    void computeRates(Sample &now) const;
     void loop();
-    void emitRecord();
+    void tick();
+    void writeRecord(const Sample &now, uint64_t tick_start);
+    void rewriteProm();
+    void printConsole(const Sample &now) const;
 
     std::thread thread;
     std::mutex mu;
@@ -268,16 +323,16 @@ class StatsPump
     bool stopping = false;
     bool running = false;
 
-    std::string statsPath;
     std::string promPath;
+    std::string consoleLabel;
+    uint32_t consoleEngines = 0;
+    ConsoleTail consoleTail;
     uint32_t intervalMs = 1000;
     uint64_t startNs = 0;
     uint64_t seq = 0;
-    uint64_t lastWallNs = 0;
 
-    /** Previous registry totals, for interval-delta process rates. */
-    uint64_t prevPackets = 0;
-    uint64_t prevFaults = 0;
+    /** The previous tick's sample (start()'s for the first tick). */
+    Sample prev;
 
     std::atomic<uint64_t> written{0};
     std::unique_ptr<std::ofstream> out;

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "obs/json.hh"
@@ -50,8 +51,13 @@ thread_local RingCache tlsRing;
 
 } // namespace
 
+// Ring slots are never read before they are written, so they may
+// stay uninitialized (and their pages untouched) until emit().
+static_assert(std::is_trivially_default_constructible_v<TraceEvent>);
+
 TraceRing::TraceRing(uint32_t tid, size_t capacity)
-    : tid_(tid), ring(std::max<size_t>(capacity, 16))
+    : tid_(tid), cap(std::max<size_t>(capacity, 16)),
+      ring(std::make_unique_for_overwrite<TraceEvent[]>(cap))
 {
 }
 
@@ -59,7 +65,7 @@ void
 TraceRing::emit(const TraceEvent &event)
 {
     uint64_t h = head.load(std::memory_order_relaxed);
-    TraceEvent &slot = ring[h % ring.size()];
+    TraceEvent &slot = ring[h % cap];
     slot = event;
     slot.tid = tid_;
     head.store(h + 1, std::memory_order_release);
@@ -179,7 +185,7 @@ Tracer::collect() const
     std::lock_guard<std::mutex> lock(mu);
     for (const auto &ring : rings) {
         uint64_t n = ring->head.load(std::memory_order_acquire);
-        size_t cap = ring->ring.size();
+        size_t cap = ring->cap;
         uint64_t first = n > cap ? n - cap : 0;
         for (uint64_t i = first; i < n; i++)
             events.push_back(ring->ring[i % cap]);

@@ -118,7 +118,10 @@ struct TraceEvent
 /**
  * Per-thread single-writer ring of trace events.  Only the owning
  * thread writes; the head counter is released so a quiescent reader
- * (Tracer::collect) sees fully written slots.
+ * (Tracer::collect) sees fully written slots.  The slots are left
+ * uninitialized, since readers see only written ones: a ring sized
+ * for a whole run costs no page until its thread fills it, so
+ * building one inside a timed region does not zero-fill megabytes.
  */
 class TraceRing
 {
@@ -129,20 +132,24 @@ class TraceRing
     void emit(const TraceEvent &event);
 
     uint32_t tid() const { return tid_; }
-    size_t capacity() const { return ring.size(); }
+    size_t capacity() const { return cap; }
+
+    /** First slot of the ring's storage. */
+    const TraceEvent *slots() const { return ring.get(); }
 
     /** Events overwritten so far (newest-kept overflow). */
     uint64_t
     dropped() const
     {
         uint64_t n = head.load(std::memory_order_acquire);
-        return n > ring.size() ? n - ring.size() : 0;
+        return n > cap ? n - cap : 0;
     }
 
   private:
     friend class Tracer;
     const uint32_t tid_;
-    std::vector<TraceEvent> ring;
+    const size_t cap;
+    std::unique_ptr<TraceEvent[]> ring;
     std::atomic<uint64_t> head{0};
 };
 

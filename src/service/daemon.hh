@@ -13,11 +13,12 @@
  * Every hand-off, ring and engine queues alike, is one SpscQueue
  * (common/spscqueue.hh) with one producer and one consumer.
  *
- * plus a speed-reporter thread that prints a periodic console line
- * (Mpps / Gbps / MIPS, aggregate and per engine).  The rates are
- * differences between ticks of the since-start totals each engine
- * keeps in the telemetry hub (obs/stats.hh) on every packet, so the
- * line needs no per-packet telemetry gate: only a `--stats` pump
+ * A periodic console speed line (Mpps / Gbps / MIPS, aggregate and
+ * per engine, then ring occupancy and replayer progress) comes from
+ * an obs::StatsPump with only its console sink.  Like every live
+ * rate, it is the change in the since-start totals each engine keeps
+ * in the telemetry hub (obs/stats.hh) over the tick's interval, so
+ * the line needs no per-packet telemetry gate: only a `--stats` pump
  * raises it.
  *
  * Shutdown: SIGINT/SIGTERM (installed by the binary via
@@ -57,7 +58,7 @@ struct ServiceConfig
     /** Producer pacing/looping policy. */
     ReplayConfig replay;
 
-    /** Console speed-line period; 0 disables the reporter. */
+    /** Console speed-line period; 0 prints no speed line. */
     uint32_t speedIntervalMs = 1000;
 };
 
@@ -83,7 +84,7 @@ struct ServiceResult
     bool shutdownBySignal = false;
 };
 
-/** The persistent service: replayer + ring + engines + reporter. */
+/** The persistent service: replayer + ring + engines + speed line. */
 class PacketBenchd
 {
   public:
@@ -99,7 +100,7 @@ class PacketBenchd
      * Run the service until the producer finishes (corpus exhausted
      * without `loop`, maxPackets reached) or a shutdown is
      * requested.  Blocks the calling thread; the engines, producer,
-     * and reporter run on their own threads per cfg.
+     * and speed-line pump run on their own threads per cfg.
      *
      * @param source_factory creates one trace pass for the replayer
      *                       (called once per loop pass)

@@ -55,8 +55,8 @@ TEST(Prometheus, HelpLinesForEverySeries)
                         "across all fault kinds\n"),
               std::string::npos);
     // ...numbered per-engine families match by prefix...
-    EXPECT_NE(text.find("# HELP stats_engine0_pps Live windowed "
-                        "per-engine telemetry (stats pump)\n"),
+    EXPECT_NE(text.find("# HELP stats_engine0_pps Live per-engine "
+                        "rates over the stats-pump interval\n"),
               std::string::npos);
     // ...and unknown names still get a generic HELP line.
     EXPECT_NE(text.find("# HELP some_unknown_metric "

@@ -1,11 +1,11 @@
 /**
- * @file
- * Stats-pump tests: concurrent pump-vs-writer stress over the
- * seqlocked windows and the mutexed flow table (the TSan target for
- * the telemetry plane), NDJSON well-formedness and monotonicity, the
- * final-record-on-stop guarantee, the live Prometheus rewrite, and
- * the disabled-telemetry overhead bound (the stats analogue of
- * TracingOverhead).
+ * Stats-pump tests: concurrent pump-vs-writer stress over the engine
+ * totals, histograms and flow tables (the TSan target for the
+ * telemetry plane), NDJSON well-formedness and monotonicity, the
+ * final-record-on-stop guarantee, rates that cover exactly their
+ * record's interval, the console-only pump, the live Prometheus
+ * rewrite, and the disabled-telemetry overhead bound (the stats
+ * analogue of TracingOverhead).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -27,6 +28,7 @@
 #include "core/packetbench.hh"
 #include "isa/assembler.hh"
 #include "net/tracegen.hh"
+#include "obs/json.hh"
 #include "obs/stats.hh"
 #include "sim/memmap.hh"
 
@@ -74,9 +76,9 @@ TEST(StatsPump, PumpVsWriterStressProducesValidNdjson)
     StatsPump pump;
     pump.start(path, 10);
 
-    // Writers hammer the seqlocked windows and the flow table while
-    // the pump snapshots them concurrently — the race TSan must find
-    // nothing wrong with.
+    // Writers hammer the totals, the histogram and the flow table
+    // while the pump snapshots them concurrently — the race TSan
+    // must find nothing wrong with.
     std::vector<std::thread> writers;
     for (int t = 0; t < kWriters; t++) {
         writers.emplace_back([&, t] {
@@ -90,8 +92,13 @@ TEST(StatsPump, PumpVsWriterStressProducesValidNdjson)
             id.proto = 17;
             uint64_t n = 0;
             while (!done.load(std::memory_order_relaxed)) {
-                uint64_t now = telemetryNowNs();
-                telem.record(now, 100 + n % 7, 64, n % 50 == 0);
+                uint64_t insts = 100 + n % 7;
+                if (n % 50 == 0) {
+                    telem.countFault(insts, 64);
+                } else {
+                    telem.count(insts, 64);
+                    telem.instsPerPacket.observe(insts);
+                }
                 telem.topk.observe(n % 13, id, 64, false);
                 n++;
             }
@@ -295,8 +302,8 @@ TEST(EngineTelemetry, TotalsCountEveryPacketWithTheGateDown)
     EXPECT_EQ(telem.totals.packets.load(), 200u);
     EXPECT_EQ(telem.totals.insts.load(), insts);
     EXPECT_EQ(telem.totals.bytes.load(), bytes);
-    EXPECT_EQ(telem.packets.total(), 0u)
-        << "windowed rates stay behind the gate";
+    EXPECT_EQ(telem.instsPerPacket.snapshot().count, 0u)
+        << "the histogram stays behind the gate";
     telem.reset();
     EXPECT_EQ(telem.totals.packets.load(), 0u);
 }
@@ -312,6 +319,166 @@ makePackets(uint32_t count)
     return packets;
 }
 
+/** Spends 2 * loops + 3 instructions on every packet. */
+class SpinApp : public core::Application
+{
+  public:
+    explicit SpinApp(uint32_t loops) : loops(loops) {}
+
+    std::string name() const override { return "spin"; }
+
+    isa::Program
+    setup(sim::Memory &mem) override
+    {
+        (void)mem;
+        return isa::Assembler(sim::layout::textBase)
+            .assemble(strprintf(R"(
+main:
+    li  t0, %u
+loop:
+    addi t0, t0, -1
+    bnez t0, loop
+    li  a1, 1
+    sys 1
+)",
+                                loops));
+    }
+
+  private:
+    uint32_t loops;
+};
+
+/** The record for @p engine in one NDJSON stats line. */
+JsonValue
+engineRecord(const std::string &line, uint32_t engine)
+{
+    JsonValue rec = JsonValue::parse(line);
+    for (const JsonValue &e : rec.at("engines").asArray()) {
+        if (e.at("engine").asNumber() == engine)
+            return e;
+    }
+    ADD_FAILURE() << "no engine " << engine << " in " << line;
+    return {};
+}
+
+/** Events in one record's interval: rate * interval_ns / 1e9. */
+long long
+eventsInInterval(const std::string &line, double rate)
+{
+    double interval_ns = JsonValue::parse(line).at("interval_ns").asNumber();
+    return std::llround(rate * interval_ns / 1e9);
+}
+
+TEST(StatsPump, RecordRatesCoverOnlyTheirInterval)
+{
+    // Two pumps with intervals far longer than their phases: each
+    // writes only its on-stop record, so each record covers exactly
+    // one phase, and no timing enters the test.
+    constexpr uint32_t kEngine = 4343; // a record no other test writes
+    EngineTelemetry &telem = Telemetry::instance().engine(kEngine);
+    telem.reset();
+    core::BenchConfig cfg;
+    cfg.engineId = kEngine;
+    cfg.faultPolicy = core::FaultPolicy::Drop;
+    std::vector<net::Packet> packets = makePackets(4'000);
+    std::string path1 = ::testing::TempDir() + "stats_phase1.ndjson";
+    std::string path2 = ::testing::TempDir() + "stats_phase2.ndjson";
+
+    // Phase 1: 3,000 packets of 103 instructions.
+    SpinApp cheap(50);
+    core::PacketBench bench1(cheap, cfg);
+    StatsPump pump1;
+    pump1.start(path1, 60'000);
+    for (size_t i = 0; i < 3'000; i++)
+        bench1.processPacket(packets[i]);
+    pump1.stop();
+
+    // Phase 2: 1,000 packets of 1,003 instructions, and one
+    // malformed packet.
+    SpinApp dear(500);
+    core::PacketBench bench2(dear, cfg);
+    StatsPump pump2;
+    pump2.start(path2, 60'000);
+    for (size_t i = 3'000; i < 4'000; i++)
+        bench2.processPacket(packets[i]);
+    net::Packet empty;
+    EXPECT_TRUE(bench2.processPacket(empty).faulted());
+    pump2.stop();
+
+    auto lines1 = readLines(path1);
+    auto lines2 = readLines(path2);
+    ASSERT_EQ(lines1.size(), 1u);
+    ASSERT_EQ(lines2.size(), 1u);
+    JsonValue e1 = engineRecord(lines1[0], kEngine);
+    JsonValue e2 = engineRecord(lines2[0], kEngine);
+
+    EXPECT_EQ(eventsInInterval(lines1[0], e1.at("pps").asNumber()),
+              3'000);
+    EXPECT_LT(e1.at("insts_per_packet").at("p50").asNumber(), 1'000);
+
+    // The second record's rates and quantiles cover phase 2 only...
+    EXPECT_EQ(eventsInInterval(lines2[0], e2.at("pps").asNumber()),
+              1'001);
+    EXPECT_EQ(eventsInInterval(lines2[0], e2.at("fault_pps").asNumber()),
+              1);
+    const JsonValue &ipp = e2.at("insts_per_packet");
+    EXPECT_EQ(ipp.at("count").asNumber(), 1'000);
+    EXPECT_GE(ipp.at("p50").asNumber(), 1'000);
+    EXPECT_DOUBLE_EQ(ipp.at("mean").asNumber(), 1'003.0);
+    // ...while its counts and the engine's histogram are since
+    // start, and mostly phase 1.
+    EXPECT_EQ(e2.at("packets").asNumber(), 4'001);
+    EXPECT_EQ(e2.at("faults").asNumber(), 1);
+    Histogram::Snapshot all = telem.instsPerPacket.snapshot();
+    EXPECT_EQ(all.count, 4'000u);
+    EXPECT_LT(all.quantile(0.5), 1'000u);
+    std::remove(path1.c_str());
+    std::remove(path2.c_str());
+}
+
+TEST(StatsPump, ConsoleOnlyPumpPrintsLinesAndLeavesTheGateDown)
+{
+    // Without an NDJSON path the pump writes no record and never
+    // raises the per-packet gate; its console line still shows the
+    // engines' rates, from their since-start totals.
+    ASSERT_FALSE(statsEnabled());
+    Registry &reg = defaultRegistry();
+    uint64_t records_before = reg.counter("obs.stats.records").value();
+    HeaderApp app;
+    core::PacketBench bench(app, {}); // engine 0
+    EngineTelemetry &telem = Telemetry::instance().engine(0);
+    uint64_t observed_before = telem.instsPerPacket.snapshot().count;
+    std::vector<net::Packet> packets = makePackets(2'000);
+
+    StatsPump pump;
+    pump.setConsole("stats-test", 1,
+                    [] { return std::string(" | tail"); });
+    testing::internal::CaptureStderr();
+    pump.start("", 60'000);
+    EXPECT_FALSE(statsEnabled());
+    for (net::Packet &packet : packets)
+        bench.processPacket(packet);
+    pump.stop();
+    std::string err = testing::internal::GetCapturedStderr();
+
+    EXPECT_FALSE(statsEnabled());
+    EXPECT_EQ(pump.records(), 1u);
+    EXPECT_EQ(reg.counter("obs.stats.records").value(), records_before)
+        << "a console-only pump wrote an NDJSON record";
+    EXPECT_EQ(telem.instsPerPacket.snapshot().count, observed_before)
+        << "the per-packet gate was up";
+    double mpps = 0.0, gbps = 0.0, mips = 0.0, e0 = 0.0;
+    ASSERT_EQ(std::sscanf(err.c_str(),
+                          "[stats-test] %lf Mpps %lf Gbps %lf MIPS | "
+                          "e0=%lf",
+                          &mpps, &gbps, &mips, &e0),
+              4)
+        << err;
+    EXPECT_GT(mpps, 0.0) << err;
+    EXPECT_GT(mips, 0.0) << err;
+    EXPECT_NE(err.find(" | tail\n"), std::string::npos) << err;
+}
+
 uint64_t
 timePacketLoop(core::PacketBench &bench, std::span<net::Packet> packets,
                bool extra_telemetry)
@@ -320,7 +487,6 @@ timePacketLoop(core::PacketBench &bench, std::span<net::Packet> packets,
     FlowId id;
     id.src = 0x0a0a0a0a;
     id.proto = 6;
-    uint64_t fake_now = telemetryNowNs();
     auto start = std::chrono::steady_clock::now();
     for (size_t i = 0; i < packets.size(); i++) {
         if (extra_telemetry) {
@@ -329,8 +495,7 @@ timePacketLoop(core::PacketBench &bench, std::span<net::Packet> packets,
             // in processPacket — with no pump running this must
             // compile down to one relaxed load and a branch.
             if (statsEnabled()) {
-                fake_now += 1000;
-                telem.record(fake_now, 100, 64, false);
+                telem.instsPerPacket.observe(100);
                 telem.topk.observe(i, id, 64, false);
             }
             bench.processPacket(packets[i]);
@@ -380,9 +545,8 @@ TEST(StatsOverhead, DisabledTelemetryStaysUnderTwoPercent)
     std::nth_element(ratios.begin(), ratios.begin() + pairs / 2,
                      ratios.end());
     double overhead = ratios[pairs / 2] - 1.0;
-    // <2% is the acceptance bound; a windowed record is a handful of
-    // relaxed atomic adds against a multi-microsecond simulated
-    // packet, and the flow gate is one relaxed load and a branch.
+    // <2% is the acceptance bound; the gated hook is one relaxed
+    // load and a branch against a multi-microsecond simulated packet.
     EXPECT_LT(overhead, 0.02)
         << "median extra/base time ratio " << ratios[pairs / 2]
         << " over " << pairs << " pairs";

@@ -2,17 +2,23 @@
  * @file
  * Event tracer tests: JSON round-trip, ring overflow semantics,
  * disabled no-op, concurrent emission (TSan exercises the memory
- * model), NPE32 sampling, fault-annotated spans, and serial vs
- * parallel per-engine span equivalence.
+ * model), rings that leave their pages untouched until used, NPE32
+ * sampling, fault-annotated spans, and serial vs parallel
+ * per-engine span equivalence.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <sstream>
 #include <thread>
+#include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "core/multicore.hh"
 #include "isa/assembler.hh"
@@ -210,6 +216,48 @@ TEST_F(Tracing, OverflowKeepsNewestAndCountsDropped)
     // stop() publishes the overwrite count into the registry.
     EXPECT_EQ(defaultRegistry().counter("trace.dropped").value(),
               dropped_before + 84);
+}
+
+/** Pages of [@p p, @p p + @p bytes) that mincore(2) reports resident. */
+size_t
+residentPages(const void *p, size_t bytes, size_t &pages)
+{
+    const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+    uintptr_t begin = reinterpret_cast<uintptr_t>(p) & ~(page - 1);
+    uintptr_t end =
+        (reinterpret_cast<uintptr_t>(p) + bytes + page - 1) & ~(page - 1);
+    std::vector<unsigned char> resident((end - begin) / page);
+    pages = resident.size();
+    EXPECT_EQ(mincore(reinterpret_cast<void *>(begin), end - begin,
+                      resident.data()),
+              0);
+    size_t n = 0;
+    for (unsigned char r : resident)
+        n += r & 1;
+    return n;
+}
+
+TEST_F(Tracing, LargeRingIsNotPrefaulted)
+{
+    // A thread builds its ring on its first event, inside whatever
+    // region is being timed, and a ring sized for a whole round is
+    // tens of megabytes: building one must not touch its slots.
+    // mincore(2) on the ring's own pages, not process RSS, so
+    // sanitizer shadow memory cannot blur the count.
+    TraceRing ring(1, size_t{1} << 18);
+    size_t bytes = ring.capacity() * sizeof(TraceEvent);
+    ASSERT_GT(bytes, size_t{40} << 20);
+    size_t pages = 0;
+    size_t resident = residentPages(ring.slots(), bytes, pages);
+    EXPECT_LT(resident * 10, pages)
+        << resident << " of " << pages << " ring pages resident";
+
+    // Emitting still lands in the (untouched) storage.
+    TraceEvent event{};
+    event.name = "ring";
+    ring.emit(event);
+    EXPECT_EQ(ring.slots()[0].name, event.name);
+    EXPECT_EQ(ring.slots()[0].tid, 1u);
 }
 
 TEST_F(Tracing, ConcurrentEmissionIsSafe)
