@@ -7,17 +7,17 @@
  * (service/ingest.hh), and the parallel multi-engine run loop
  * (core/multicore.hh) feeds each engine's worker through another.
  * Each pairing is exactly SPSC, so the fast path needs no lock: a
- * ring buffer with an acquire/release head/tail pair.  Items move in
- * batches, one index store and one wake check per batch, and the
- * bounded capacity (in items) is the back-pressure.
+ * ring buffer with a head/tail pair of monotonic item counts.  Items
+ * move in batches, one index store and one wake check per batch, and
+ * the bounded capacity (in items) is the back-pressure.
  *
  * A side that must wait parks on a condition variable at once; the
  * peer takes the lock to wake it only when someone is parked, so the
- * streaming path stays a pair of atomic ops plus one fence and an
- * uncontended flag load.  Parked sides burn no CPU, which is the
- * daemon's idle contract.  A caller that expects its peer to be
- * streaming spins on tryPush()/tryPop() first (the engine hand-off
- * in core/multicore.cc does).
+ * streaming path stays an acquire load of the peer's index, a seq_cst
+ * store of its own and an uncontended flag load.  Parked sides burn
+ * no CPU, which is the daemon's idle contract.  A caller that expects
+ * its peer to be streaming spins on tryPush()/tryPop() first (the
+ * engine hand-off in core/multicore.cc does).
  *
  * Contract:
  *  - exactly one thread pushes, exactly one pops; either may close(),
@@ -96,7 +96,7 @@ class SpscQueue
             if (++pos == slots.size())
                 pos = 0;
         }
-        head.store(h + n, std::memory_order_release);
+        head.store(h + n, std::memory_order_seq_cst);
         wakePeer();
         return n;
     }
@@ -138,7 +138,7 @@ class SpscQueue
             if (++pos == slots.size())
                 pos = 0;
         }
-        tail.store(t + n, std::memory_order_release);
+        tail.store(t + n, std::memory_order_seq_cst);
         wakePeer();
         return n;
     }
@@ -180,34 +180,39 @@ class SpscQueue
     }
 
   private:
+    /** Park predicate: reads the consumer's index seq_cst. */
     bool
     full() const
     {
         return head.load(std::memory_order_relaxed) -
-                   tail.load(std::memory_order_acquire) ==
+                   tail.load(std::memory_order_seq_cst) ==
                slots.size();
     }
 
+    /** Park predicate: reads the producer's index seq_cst. */
     bool
     empty() const
     {
-        return head.load(std::memory_order_acquire) ==
+        return head.load(std::memory_order_seq_cst) ==
                tail.load(std::memory_order_relaxed);
     }
 
     /**
-     * Dekker-style wake: the caller's index store (release) must be
-     * ordered before the sleeper-flag load, and the sleeper's flag
-     * store before its re-check; the seq_cst fences on both sides
-     * guarantee at least one thread sees the other.  Notify under
-     * the mutex so a wake cannot slip between the sleeper's final
-     * re-check and its wait.
+     * Dekker-style wake.  The waker stores its index, then loads
+     * sleepers; the sleeper increments sleepers, then loads the
+     * waker's index in its predicate.  All four are seq_cst, so they
+     * fall in one total order, and whichever of the two first
+     * accesses comes first in it is seen by the other side: either
+     * the waker sees the sleeper and notifies, or the sleeper sees
+     * the new index and does not wait.  The outcome where the waker
+     * sees no sleeper while the sleeper sees the old index is
+     * forbidden.  Notify under the mutex so a wake cannot slip
+     * between the sleeper's final re-check and its wait.
      */
     void
     wakePeer()
     {
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (sleepers.load(std::memory_order_relaxed) == 0)
+        if (sleepers.load(std::memory_order_seq_cst) == 0)
             return;
         std::lock_guard<std::mutex> lock(mu);
         cv.notify_all();
@@ -220,11 +225,10 @@ class SpscQueue
     {
         std::unique_lock<std::mutex> lock(mu);
         sleepers.fetch_add(1, std::memory_order_seq_cst);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
         while (!ready()) {
-            // Bounded wait as a belt-and-braces backstop; the fence
-            // protocol above makes a lost wake impossible, so this
-            // only turns "impossible" into "100 ms hiccup".
+            // Bounded wait as a belt-and-braces backstop; the seq_cst
+            // protocol in wakePeer() makes a lost wake impossible, so
+            // this only turns "impossible" into "100 ms hiccup".
             cv.wait_for(lock, std::chrono::milliseconds(100));
         }
         sleepers.fetch_sub(1, std::memory_order_relaxed);

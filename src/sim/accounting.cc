@@ -11,12 +11,32 @@
 namespace pb::sim
 {
 
+namespace
+{
+
+/** Regions with a touch map, in touchPages() span order. */
+constexpr MemRegion trackedRegions[] = {MemRegion::Data, MemRegion::Packet,
+                                        MemRegion::Stack};
+
+/** Bytes of the one-bit-per-byte map of @p region, in whole words. */
+constexpr size_t
+touchMapBytes(MemRegion region)
+{
+    const size_t size = layout::regionSize[static_cast<size_t>(region)];
+    return (size + 63) / 64 * sizeof(uint64_t);
+}
+
+} // namespace
+
 PacketRecorder::PacketRecorder(const isa::Program &prog,
                                const BlockMap &blocks, RecorderConfig cfg_)
     : cfg(cfg_),
       progBase(prog.baseAddr),
       progWords(static_cast<uint32_t>(prog.words.size())),
-      blockMap(blocks)
+      blockMap(blocks),
+      touchPages_({touchMapBytes(trackedRegions[0]),
+                   touchMapBytes(trackedRegions[1]),
+                   touchMapBytes(trackedRegions[2])})
 {
     slotClass.resize(progWords);
     runLast.resize(progWords);
@@ -29,10 +49,11 @@ PacketRecorder::PacketRecorder(const isa::Program &prog,
     wordEpoch.assign(progWords, 0);
     blockEpoch.assign(blockMap.numBlocks(), 0);
     wordTouched.assign(progWords, false);
-    for (MemRegion r : {MemRegion::Data, MemRegion::Packet,
-                        MemRegion::Stack}) {
-        const auto i = static_cast<size_t>(r);
-        touch[i].init(layout::regionBase[i], layout::regionSize[i]);
+    for (size_t span = 0; span < std::size(trackedRegions); span++) {
+        const auto r = static_cast<size_t>(trackedRegions[span]);
+        touch[r].base = layout::regionBase[r];
+        touch[r].size = layout::regionSize[r];
+        touch[r].bits = static_cast<uint64_t *>(touchPages_.span(span));
     }
 }
 

@@ -28,6 +28,7 @@
 
 #include "sim/bblock.hh"
 #include "sim/cpu.hh"
+#include "sim/zeropages.hh"
 
 namespace pb::sim
 {
@@ -162,22 +163,28 @@ class PacketRecorder final : public ExecObserver
     uint64_t totalInsts() const { return totalInsts_; }
     /** @} */
 
+    /**
+     * The pages behind the touch maps: the Data, Packet and Stack maps
+     * in spans 0, 1 and 2.  Only pages holding bits of touched bytes
+     * are ever resident.
+     */
+    const ZeroPages &touchPages() const { return touchPages_; }
+
   private:
-    /** Tracks which byte offsets of a region have been touched. */
+    /**
+     * Tracks which byte offsets of a region have been touched: one bit
+     * per byte, in 64-bit words on the recorder's demand-zero pages
+     * (touchPages), so only the words of touched bytes ever become
+     * resident.  AddressSanitizer does not instrument those pages;
+     * mark()'s bounds checks and the guard page after each map stand
+     * in for it.
+     */
     struct TouchMap
     {
         uint32_t base = 0;
-        uint32_t size = 0;          ///< 0 for an untracked region
-        std::vector<uint64_t> bits; ///< one bit per byte
+        uint32_t size = 0;        ///< 0 for an untracked region
+        uint64_t *bits = nullptr; ///< (size + 63) / 64 words
         uint64_t count = 0;
-
-        void
-        init(uint32_t base_addr, uint32_t size_)
-        {
-            base = base_addr;
-            size = size_;
-            bits.assign((static_cast<size_t>(size_) + 63) / 64, 0);
-        }
 
         void
         mark(uint32_t addr, uint32_t len)
@@ -284,6 +291,8 @@ class PacketRecorder final : public ExecObserver
     uint64_t totalInsts_ = 0;
     /** Bytes touched, by MemRegion; Text and Unmapped are untracked. */
     std::array<TouchMap, numMemRegions> touch;
+    /** The tracked maps' words, one span per map. */
+    ZeroPages touchPages_;
 };
 
 /** Forwards the execution stream to several observers. */

@@ -7,11 +7,7 @@
 
 #include "memory.hh"
 
-#include <cerrno>
 #include <cstring>
-#include <new>
-
-#include <sys/mman.h>
 
 #include "common/logging.hh"
 
@@ -36,52 +32,20 @@ memRegionName(MemRegion region)
     return "unmapped";
 }
 
-namespace
-{
-
-/**
- * Inaccessible bytes after each region.  Region sizes are multiples
- * of the 64 KiB lookup page, so every region and guard starts on a
- * host page boundary for any host page size up to that.
- */
-constexpr size_t guardBytes = size_t{1} << layout::pageShift;
-static_assert(layout::textSize % guardBytes == 0 &&
-              layout::dataSize % guardBytes == 0 &&
-              layout::packetSize % guardBytes == 0 &&
-              layout::stackSize % guardBytes == 0);
-
-/** Every region and its guard, in MemRegion order. */
-constexpr size_t mappingBytes = size_t{layout::textSize} +
-                                layout::dataSize + layout::packetSize +
-                                layout::stackSize +
-                                layout::numRegions * guardBytes;
-
-} // namespace
+// Region sizes are multiples of the 64 KiB lookup page, so for any
+// host page size up to that each region ends where its guard begins.
+static_assert(layout::textSize % (1u << layout::pageShift) == 0 &&
+              layout::dataSize % (1u << layout::pageShift) == 0 &&
+              layout::packetSize % (1u << layout::pageShift) == 0 &&
+              layout::stackSize % (1u << layout::pageShift) == 0);
+static_assert(layout::numRegions == 4);
 
 Memory::Memory()
+    : pages({layout::textSize, layout::dataSize, layout::packetSize,
+             layout::stackSize})
 {
-    // Reserved but not committed: untouched pages read as zero and
-    // cost nothing, however many engines a run builds.
-    void *mapping =
-        mmap(nullptr, mappingBytes, PROT_READ | PROT_WRITE,
-             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    if (mapping == MAP_FAILED)
-        throw std::bad_alloc();
-    uint8_t *next = static_cast<uint8_t *>(mapping);
-    for (unsigned r = 0; r < layout::numRegions; r++) {
-        store[r] = next;
-        next += layout::regionSize[r];
-        if (mprotect(next, guardBytes, PROT_NONE) != 0) {
-            munmap(mapping, mappingBytes);
-            throw std::bad_alloc();
-        }
-        next += guardBytes;
-    }
-}
-
-Memory::~Memory()
-{
-    munmap(store[0], mappingBytes);
+    for (unsigned r = 0; r < layout::numRegions; r++)
+        store[r] = static_cast<uint8_t *>(pages.span(r));
 }
 
 void
@@ -134,9 +98,7 @@ Memory::fill(uint32_t addr, uint32_t len, uint8_t value)
 void
 Memory::reset()
 {
-    // A private anonymous mapping refills dropped pages with zeroes.
-    if (madvise(store[0], mappingBytes, MADV_DONTNEED) != 0)
-        panic("Memory::reset: madvise failed: %s", std::strerror(errno));
+    pages.zero();
 }
 
 } // namespace pb::sim

@@ -11,12 +11,14 @@
  *
  * Memory itself is passive; accounting is done by the CPU's observer.
  *
- * The regions live in one anonymous mapping that the kernel zeroes on
- * demand: constructing a Memory touches none of its 16 MiB+, and only
- * pages the program or the framework actually use become resident.
- * Each region is followed by an inaccessible guard page, so a
- * host-side overrun faults instead of landing in the next region.
- * (AddressSanitizer does not instrument this mapping.)
+ * The regions live in one ZeroPages mapping (sim/zeropages.hh), which
+ * the kernel zeroes on demand: constructing a Memory touches none of
+ * its 16 MiB+, and only pages the program or the framework actually
+ * use become resident.  Each region is followed by an inaccessible
+ * guard page, so a host-side overrun faults instead of landing in the
+ * next region.  AddressSanitizer does not instrument this mapping;
+ * the bounds checks in readable() and writable() and the guards stand
+ * in for it.
  *
  * Address resolution is O(1): the layout is fixed (sim/memmap.hh), so
  * a page-granular table plus one range check turns an address into a
@@ -37,6 +39,7 @@
 #include "common/byteorder.hh"
 #include "sim/memmap.hh"
 #include "sim/simerror.hh"
+#include "sim/zeropages.hh"
 
 namespace pb::sim
 {
@@ -64,7 +67,6 @@ class Memory
      * @throws std::bad_alloc when the mapping cannot be made
      */
     Memory();
-    ~Memory();
 
     Memory(const Memory &) = delete;
     Memory &operator=(const Memory &) = delete;
@@ -272,11 +274,10 @@ class Memory
     [[noreturn]] static void throwMisaligned(const char *what,
                                              uint32_t addr);
 
-    /**
-     * Backing bytes, indexed by MemRegion value (Text..Stack): one
-     * mapping, starting at store[0], with a guard after each region.
-     */
+    /** Backing bytes, indexed by MemRegion value (Text..Stack). */
     uint8_t *store[layout::numRegions];
+    /** One guarded span per region, in MemRegion order. */
+    ZeroPages pages;
 };
 
 } // namespace pb::sim

@@ -17,9 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include <sys/mman.h>
-#include <unistd.h>
-
+#include "../support/resident_pages.hh"
 #include "core/multicore.hh"
 #include "isa/assembler.hh"
 #include "net/tracegen.hh"
@@ -218,25 +216,6 @@ TEST_F(Tracing, OverflowKeepsNewestAndCountsDropped)
               dropped_before + 84);
 }
 
-/** Pages of [@p p, @p p + @p bytes) that mincore(2) reports resident. */
-size_t
-residentPages(const void *p, size_t bytes, size_t &pages)
-{
-    const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
-    uintptr_t begin = reinterpret_cast<uintptr_t>(p) & ~(page - 1);
-    uintptr_t end =
-        (reinterpret_cast<uintptr_t>(p) + bytes + page - 1) & ~(page - 1);
-    std::vector<unsigned char> resident((end - begin) / page);
-    pages = resident.size();
-    EXPECT_EQ(mincore(reinterpret_cast<void *>(begin), end - begin,
-                      resident.data()),
-              0);
-    size_t n = 0;
-    for (unsigned char r : resident)
-        n += r & 1;
-    return n;
-}
-
 TEST_F(Tracing, LargeRingIsNotPrefaulted)
 {
     // A thread builds its ring on its first event, inside whatever
@@ -248,7 +227,7 @@ TEST_F(Tracing, LargeRingIsNotPrefaulted)
     size_t bytes = ring.capacity() * sizeof(TraceEvent);
     ASSERT_GT(bytes, size_t{40} << 20);
     size_t pages = 0;
-    size_t resident = residentPages(ring.slots(), bytes, pages);
+    size_t resident = test::residentPages(ring.slots(), bytes, pages);
     EXPECT_LT(resident * 10, pages)
         << resident << " of " << pages << " ring pages resident";
 

@@ -1,12 +1,13 @@
 /**
  * @file
  * Selective-accounting tests: per-packet statistics, unique
- * instruction counting, memory-region classification, and run-level
- * coverage.
+ * instruction counting, memory-region classification, run-level
+ * coverage, and touch maps that stay non-resident until marked.
  */
 
 #include <gtest/gtest.h>
 
+#include "../support/resident_pages.hh"
 #include "isa/assembler.hh"
 #include "sim/accounting.hh"
 #include "sim/memmap.hh"
@@ -215,6 +216,39 @@ TEST_F(AccountingTest, RunLevelMemoryCoverage)
     EXPECT_EQ(rec->dataMemoryBytes(), 4u + 1u);
     runPacket();
     EXPECT_EQ(rec->dataMemoryBytes(), 5u) << "coverage is run-level";
+}
+
+TEST_F(AccountingTest, TouchMapsAreResidentOnlyWhereTouched)
+{
+    load(R"(
+        .equ DATA, 0x00100000
+        .equ FAR, 0x00900000
+        main:
+            li t0, DATA
+            sw t1, 0(t0)
+            li t0, FAR
+            sh t1, 2(t0)
+            sys 0
+    )");
+    // The Data map holds one bit per byte of the 16 MiB region:
+    // building the recorder must not touch its 2 MiB.
+    const auto *map =
+        static_cast<const uint8_t *>(rec->touchPages().span(0));
+    const size_t mapBytes = layout::dataSize / 8;
+    size_t pages = 0;
+    size_t resident = test::residentPages(map, mapBytes, pages);
+    EXPECT_LT(resident * 10, pages)
+        << resident << " of " << pages << " Data map pages resident";
+
+    runPacket();
+    EXPECT_EQ(rec->dataMemoryBytes(), 4u + 2u);
+    // Byte offset off has its bit in map byte off / 8: the two stores
+    // touch map bytes 0 and 1 MiB, on two different pages.
+    const size_t far = (0x00900000 - layout::dataBase) / 8;
+    size_t one = 0;
+    EXPECT_EQ(test::residentPages(map, 1, one), 1u);
+    EXPECT_EQ(test::residentPages(map + far, 1, one), 1u);
+    EXPECT_EQ(test::residentPages(map, mapBytes, pages), 2u);
 }
 
 TEST_F(AccountingTest, InstructionMixHistogram)
