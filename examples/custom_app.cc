@@ -42,7 +42,7 @@ class TtlFilterApp : public core::Application
     static constexpr uint32_t countersBase = sim::layout::dataBase;
 
     isa::Program
-    setup(sim::Memory &mem) override
+    setup(sim::Memory &mem) const override
     {
         mem.write32(countersBase, 0);     // interface 0 count
         mem.write32(countersBase + 4, 0); // interface 1 count

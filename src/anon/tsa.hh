@@ -9,7 +9,9 @@
  *    anonymized by one direct-indexed table; the bottom 16 bits walk
  *    a single precomputed "replicated subtree" of per-level flip
  *    bits shared by all top prefixes.  Per-address cost: one table
- *    load plus 16 bit lookups — fast and constant.
+ *    load plus 16 bit lookups — fast and constant.  Building the
+ *    tables computes each flip bit once: 2^16 - 1 PRF calls per
+ *    table, one per (level, path) pair, not one per entry and bit.
  *
  *  - CryptoPanPp: the full per-bit prefix-preserving scheme of
  *    Xu et al. (reference [27]) that TSA optimizes: every one of the

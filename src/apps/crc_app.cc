@@ -26,11 +26,9 @@ CrcApp::resultAddr() const
 }
 
 isa::Program
-CrcApp::setup(sim::Memory &mem)
+CrcApp::setup(sim::Memory &mem) const
 {
-    const uint32_t *table = crc32Table();
-    for (unsigned i = 0; i < 256; i++)
-        mem.write32(tableBase() + i * 4, table[i]);
+    mem.writeWords(tableBase(), std::span(crc32Table(), 256));
     mem.write32(resultAddr(), 0);
 
     std::string src = asmPreamble();

@@ -23,7 +23,7 @@ class CrcApp : public core::Application
     CrcApp() = default;
 
     std::string name() const override { return "crc32"; }
-    isa::Program setup(sim::Memory &mem) override;
+    isa::Program setup(sim::Memory &mem) const override;
 
     /** The CRC the simulated app computed for the last packet. */
     uint32_t simResult(const sim::Memory &mem) const;

@@ -39,7 +39,7 @@ FlowClassApp::heapAddr() const
 }
 
 isa::Program
-FlowClassApp::setup(sim::Memory &mem)
+FlowClassApp::setup(sim::Memory &mem) const
 {
     // Control block: bump-allocator pointer and flow counter.
     mem.write32(appDataBase + offAllocNext, heapAddr());

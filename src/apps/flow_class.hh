@@ -23,7 +23,7 @@ class FlowClassApp : public core::Application
     explicit FlowClassApp(uint32_t num_buckets = 4096);
 
     std::string name() const override { return "flow-class"; }
-    isa::Program setup(sim::Memory &mem) override;
+    isa::Program setup(sim::Memory &mem) const override;
 
     uint32_t bucketCount() const { return numBuckets; }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * IPv4-radix application: table image construction and NPE32
- * program in unoptimized-compiler style.
+ * IPv4-radix application: the table image, built once with the app,
+ * and the NPE32 program in unoptimized-compiler style.
  *
  * Stack frame of main (64 bytes):
  *   0(sp)  p       packet pointer
@@ -25,19 +25,15 @@ namespace pb::apps
 {
 
 Ipv4RadixApp::Ipv4RadixApp(std::vector<route::RouteEntry> entries)
-    : table(entries)
+    : table(entries, appDataBase)
 {}
 
 isa::Program
-Ipv4RadixApp::setup(sim::Memory &mem)
+Ipv4RadixApp::setup(sim::Memory &mem) const
 {
-    std::vector<uint32_t> image = table.packImage(appDataBase);
-    if (image.size() * 4 > sim::layout::dataSize / 2)
+    if (table.image().size() * 4 > sim::layout::dataSize / 2)
         fatal("radix image too large for the data region");
-    for (size_t i = 0; i < image.size(); i++) {
-        mem.write32(appDataBase + static_cast<uint32_t>(i) * 4,
-                    image[i]);
-    }
+    mem.writeWords(appDataBase, table.image());
 
     std::string src = asmPreamble();
     src += strprintf(".equ RADIX_ROOT, 0x%08x\n", appDataBase);

@@ -27,13 +27,16 @@ namespace pb::apps
 class Ipv4RadixApp : public core::Application
 {
   public:
-    /** @param entries routing table (MAE-WEST-sized in the paper). */
+    /**
+     * Build the trie as its data-region image.
+     * @param entries routing table (MAE-WEST-sized in the paper)
+     */
     explicit Ipv4RadixApp(std::vector<route::RouteEntry> entries);
 
     std::string name() const override { return "ipv4-radix"; }
-    isa::Program setup(sim::Memory &mem) override;
+    isa::Program setup(sim::Memory &mem) const override;
 
-    /** Host-side reference lookup (bit-exact with the program). */
+    /** Host-side reference lookup; its image is what setup() stores. */
     const route::RadixTable &radix() const { return table; }
 
   private:

@@ -1,6 +1,7 @@
 /**
  * @file
- * IPv4-trie application: table image construction and NPE32 program.
+ * IPv4-trie application: the table image, packed once with the app,
+ * and the NPE32 program.
  */
 
 #include "ipv4_trie.hh"
@@ -12,24 +13,18 @@ namespace pb::apps
 {
 
 Ipv4TrieApp::Ipv4TrieApp(std::vector<route::RouteEntry> entries)
-    : lcTrie(entries)
+    : lcTrie(entries), image(lcTrie.packImage(appDataBase, leafBase))
 {}
 
 isa::Program
-Ipv4TrieApp::setup(sim::Memory &mem)
+Ipv4TrieApp::setup(sim::Memory &mem) const
 {
-    uint32_t leaf_base = 0;
-    std::vector<uint32_t> image =
-        lcTrie.packImage(appDataBase, leaf_base);
-    for (size_t i = 0; i < image.size(); i++) {
-        mem.write32(appDataBase + static_cast<uint32_t>(i) * 4,
-                    image[i]);
-    }
+    mem.writeWords(appDataBase, image);
 
     std::string src = asmPreamble();
     src += strprintf(".equ TRIE_BASE, 0x%08x\n"
                      ".equ LEAF_BASE, 0x%08x\n",
-                     appDataBase, leaf_base);
+                     appDataBase, leafBase);
     src += "main:\n";
     src += asmRfc1812Validate();
     // t1 = destination address.  LC-trie lookup:

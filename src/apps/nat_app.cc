@@ -26,7 +26,7 @@ NatApp::NatApp(uint32_t external_addr, uint16_t port_base,
 }
 
 isa::Program
-NatApp::setup(sim::Memory &mem)
+NatApp::setup(sim::Memory &mem) const
 {
     uint32_t buckets_addr = appDataBase + offBuckets;
     uint32_t heap_addr = buckets_addr + numBuckets * 4;

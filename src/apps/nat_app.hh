@@ -33,7 +33,7 @@ class NatApp : public core::Application
                     uint32_t num_buckets = 1024);
 
     std::string name() const override { return "nat"; }
-    isa::Program setup(sim::Memory &mem) override;
+    isa::Program setup(sim::Memory &mem) const override;
 
     /** Host reference translator (bind order matches the program). */
     flow::NatTable &reference() { return table; }

@@ -58,7 +58,7 @@ TsaApp::recBase() const
 }
 
 isa::Program
-TsaApp::setup(sim::Memory &mem)
+TsaApp::setup(sim::Memory &mem) const
 {
     // Top table: little-endian 16-bit entries (lhu loads them).
     const auto &top = tsa.topTable();

@@ -30,7 +30,7 @@ class TsaApp : public core::Application
                     uint32_t record_slots = 64);
 
     std::string name() const override { return "tsa"; }
-    isa::Program setup(sim::Memory &mem) override;
+    isa::Program setup(sim::Memory &mem) const override;
 
     /** Host-side reference anonymizer (bit-exact). */
     const anon::TsaAnonymizer &anonymizer() const { return tsa; }

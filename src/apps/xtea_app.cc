@@ -19,10 +19,9 @@ namespace pb::apps
 XteaApp::XteaApp(std::array<uint32_t, 4> key) : xtea(key) {}
 
 isa::Program
-XteaApp::setup(sim::Memory &mem)
+XteaApp::setup(sim::Memory &mem) const
 {
-    for (unsigned i = 0; i < 4; i++)
-        mem.write32(appDataBase + i * 4, xtea.keyWords()[i]);
+    mem.writeWords(appDataBase, xtea.keyWords());
 
     std::string src = asmPreamble();
     src += strprintf(".equ KEY_BASE, 0x%08x\n", appDataBase);

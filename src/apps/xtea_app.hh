@@ -30,7 +30,7 @@ class XteaApp : public core::Application
                                                     0x0c0d0e0f});
 
     std::string name() const override { return "xtea-enc"; }
-    isa::Program setup(sim::Memory &mem) override;
+    isa::Program setup(sim::Memory &mem) const override;
 
     /** Host reference: apply the identical transform to @p packet. */
     void referenceProcess(net::Packet &packet) const;

@@ -97,6 +97,17 @@ class Rng
         double total = 0.0;
         for (double w : weights)
             total += w;
+        return weighted(weights, total);
+    }
+
+    /**
+     * weighted() for a caller that keeps its weights' @p total,
+     * summed in order as weighted() sums them, so a fixed
+     * distribution is summed once; the draws are identical.
+     */
+    size_t
+    weighted(const std::vector<double> &weights, double total)
+    {
         if (total <= 0.0)
             panic("Rng::weighted: nonpositive total weight");
         double x = uniform() * total;

@@ -3,11 +3,13 @@
  * The PacketBench application interface.
  *
  * Mirrors the paper's API (Section III-B):
- *  - init() — here setup(): the application initializes its data
- *    structures (routing table, flow table, anonymization tables)
- *    before any packets are processed.  This work runs host-side and
- *    is not counted toward packet processing, exactly as the paper
- *    excludes init() from the statistics.
+ *  - init() — here the constructor plus setup(): the application
+ *    builds its data structures (routing table, flow table,
+ *    anonymization tables) host-side, and setup(), which is const,
+ *    writes them into a machine's simulated memory before any packets
+ *    are processed.  This work is not counted toward packet
+ *    processing, exactly as the paper excludes init() from the
+ *    statistics.
  *  - process_packet_function — the NPE32 program returned by
  *    setup(); the framework calls it once per packet with a0 =
  *    pointer to the layer-3 header and a1 = captured length.
@@ -39,10 +41,14 @@ class Application
      * Initialize application state in simulated memory and return
      * the assembled packet-handler program (entry label "main").
      *
-     * Called once before packet processing; the work done here is
-     * not accounted (the paper's init()).
+     * Called once per simulated machine before packet processing;
+     * the work done here is not accounted (the paper's init()).
+     * It is const: an application builds its host tables when it is
+     * constructed, and setup() only writes them into @p mem, so
+     * every machine set up from one application starts from the
+     * same data region and program.
      */
-    virtual isa::Program setup(sim::Memory &mem) = 0;
+    virtual isa::Program setup(sim::Memory &mem) const = 0;
 };
 
 } // namespace pb::core

@@ -5,9 +5,10 @@
 
 #include "prefix.hh"
 
-#include <set>
+#include <numeric>
 
 #include "common/bitops.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
 
 namespace pb::route
@@ -15,6 +16,45 @@ namespace pb::route
 
 namespace
 {
+
+/**
+ * Set of (prefix, len) pairs, open-addressed with linear probing in
+ * one flat array: no node per member.  Sized once for at most
+ * @p capacity members, at most two-thirds full, so it never grows.
+ */
+class PrefixSet
+{
+  public:
+    explicit PrefixSet(size_t capacity)
+    {
+        size_t slots = 16;
+        while (slots < capacity + capacity / 2)
+            slots *= 2;
+        keys.assign(slots, empty);
+        mask = slots - 1;
+    }
+
+    /** Add (@p prefix, @p len); false if it is already a member. */
+    bool
+    insert(uint32_t prefix, uint8_t len)
+    {
+        const uint64_t key = uint64_t{prefix} << 8 | len;
+        for (size_t at = mix32(prefix, len) & mask;; at = (at + 1) & mask) {
+            if (keys[at] == key)
+                return false;
+            if (keys[at] == empty) {
+                keys[at] = key;
+                return true;
+            }
+        }
+    }
+
+  private:
+    /** No member has a length byte of 0xff. */
+    static constexpr uint64_t empty = ~uint64_t{0};
+    std::vector<uint64_t> keys;
+    size_t mask;
+};
 
 /**
  * BGP-like prefix length distribution: strongly peaked at /24, with
@@ -31,7 +71,9 @@ sampleLen(Rng &rng)
         // len: 25   26   27   28   29   30
         0.5, 0.4, 0.3, 0.3, 0.2, 0.1,
     };
-    return static_cast<uint8_t>(8 + rng.weighted(weights));
+    static const double total =
+        std::accumulate(weights.begin(), weights.end(), 0.0);
+    return static_cast<uint8_t>(8 + rng.weighted(weights, total));
 }
 
 std::vector<RouteEntry>
@@ -39,12 +81,14 @@ generate(uint32_t n, uint32_t seed, uint8_t min_len, uint8_t max_len,
          bool all_slash8)
 {
     Rng rng(seed ^ 0x0a11e57u);
+    const size_t size = 1 + (all_slash8 ? 256 : 0) + size_t{n};
     std::vector<RouteEntry> table;
-    std::set<std::pair<uint32_t, uint8_t>> seen;
+    table.reserve(size);
+    PrefixSet seen(size);
 
     auto add = [&](uint32_t prefix, uint8_t len) -> bool {
         prefix &= pb::prefixMask(len);
-        if (!seen.emplace(prefix, len).second)
+        if (!seen.insert(prefix, len))
             return false;
         table.push_back(
             {prefix, len, 1 + rng.below(numInterfaces)});

@@ -61,14 +61,12 @@ Cpu::loadProgram(const isa::Program &program)
         fatal("program [0x%x, 0x%x) does not fit in the text region",
               program.baseAddr, program.endAddr());
     }
+    mem.writeWords(program.baseAddr, program.words);
     prog = program;
     decoded.clear();
     decoded.reserve(prog.words.size());
-    for (size_t i = 0; i < prog.words.size(); i++) {
-        uint32_t word = prog.words[i];
-        mem.write32(prog.baseAddr + static_cast<uint32_t>(i) * 4, word);
+    for (uint32_t word : prog.words)
         decoded.push_back(isa::decode(word));
-    }
 
     // Straight-line run lengths for the block-stepped loop: distance
     // (inclusive) from each slot to the next control-flow instruction
@@ -209,7 +207,7 @@ Cpu::runBlocked(uint32_t entry, uint64_t max_insts, ObsT *o)
         fatal("Cpu::run called with no program loaded");
 
     const uint32_t base = prog.baseAddr;
-    // base is 4-aligned (loadProgram stores the image with write32),
+    // base is 4-aligned (loadProgram stores the image as words),
     // so one unsigned offset folds the bounds check (wrap catches
     // pc < base) and carries the alignment bits.
     const uint32_t text_len = prog.endAddr() - base;

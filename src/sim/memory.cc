@@ -80,6 +80,27 @@ Memory::writeBlock(uint32_t addr, const uint8_t *data, uint32_t len)
 }
 
 void
+Memory::writeWords(uint32_t addr, std::span<const uint32_t> words)
+{
+    if (words.empty())
+        return;
+    if (!isAligned(addr, 4))
+        throwMisaligned("32-bit write", addr);
+    if (words.size() > UINT32_MAX / 4)
+        throwUnmapped(addr, UINT32_MAX);
+    const auto len = static_cast<uint32_t>(words.size() * 4);
+    uint8_t *dst = writable(addr, len).ptr;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(dst, words.data(), len);
+    } else {
+        for (uint32_t word : words) {
+            storeWord(dst, word);
+            dst += 4;
+        }
+    }
+}
+
+void
 Memory::readBlock(uint32_t addr, uint8_t *data, uint32_t len) const
 {
     if (len == 0)

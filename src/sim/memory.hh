@@ -20,6 +20,11 @@
  * the bounds checks in readable() and writable() and the guards stand
  * in for it.
  *
+ * Host-side images (a routing table, a lookup table, the program
+ * text) land with writeWords(): one bounds check for the whole span,
+ * then one memcpy on a little-endian host, instead of one write32()
+ * per word.
+ *
  * Address resolution is O(1): the layout is fixed (sim/memmap.hh), so
  * a page-granular table plus one range check turns an address into a
  * host pointer and region kind in a single step — no region-list
@@ -34,6 +39,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 
 #include "common/bitops.hh"
 #include "common/byteorder.hh"
@@ -206,6 +212,15 @@ class Memory
 
     /** Bulk copy into simulated memory (host-side, unaccounted). */
     void writeBlock(uint32_t addr, const uint8_t *data, uint32_t len);
+
+    /**
+     * Store @p words at @p addr as consecutive little-endian 32-bit
+     * words (host-side, unaccounted): byte-identical to a write32()
+     * loop, but checked once for the whole span.  @throws
+     * AlignmentError or MemoryError, having written nothing, when
+     * @p addr is misaligned or the span leaves its region.
+     */
+    void writeWords(uint32_t addr, std::span<const uint32_t> words);
 
     /** Bulk copy out of simulated memory (host-side, unaccounted). */
     void readBlock(uint32_t addr, uint8_t *data, uint32_t len) const;

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <unordered_set>
+#include <vector>
 
 #include "anon/tsa.hh"
 #include "common/bitops.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
 
 namespace
@@ -104,6 +106,51 @@ TEST(Tsa, ActuallyAnonymizes)
             unchanged++;
     }
     EXPECT_LE(unchanged, 2);
+}
+
+/**
+ * The table construction TsaAnonymizer replaced, kept as its oracle:
+ * every top entry runs all 16 per-bit PRF calls over its own path,
+ * and every subtree bit is visited per (level, path) pair.
+ */
+void
+perEntryTables(uint32_t key, std::vector<uint16_t> &top,
+               std::vector<uint8_t> &tree)
+{
+    using namespace tsalayout;
+    top.assign(topEntries, 0);
+    for (uint32_t t = 0; t < topEntries; t++) {
+        uint32_t anon = 0;
+        uint32_t path = 0;
+        for (unsigned i = 0; i < 16; i++) {
+            uint32_t orig_bit = (t >> (15 - i)) & 1;
+            uint32_t flip =
+                prf32(key ^ 0x70700000u, ((1u << i) - 1) + path) & 1;
+            anon = (anon << 1) | (orig_bit ^ flip);
+            path = (path << 1) | orig_bit;
+        }
+        top[t] = static_cast<uint16_t>(anon);
+    }
+    tree.assign(subtreeBytes, 0);
+    for (unsigned level = 0; level < 16; level++) {
+        for (uint32_t path = 0; path < (1u << level); path++) {
+            uint32_t index = ((1u << level) - 1) + path;
+            if (prf32(key ^ 0xb0770000u, index) & 1)
+                tree[index >> 3] |= static_cast<uint8_t>(1u << (index & 7));
+        }
+    }
+}
+
+TEST(Tsa, TablesMatchPerEntryConstruction)
+{
+    for (uint32_t key : {0u, 0x5eed1234u, 0xffffffffu}) {
+        TsaAnonymizer tsa(key);
+        std::vector<uint16_t> top;
+        std::vector<uint8_t> tree;
+        perEntryTables(key, top, tree);
+        EXPECT_TRUE(tsa.topTable() == top) << "key " << key;
+        EXPECT_TRUE(tsa.subtree() == tree) << "key " << key;
+    }
 }
 
 TEST(Tsa, TableShapesMatchDesign)

@@ -4,12 +4,17 @@
  * program: the disassembly of each app must reassemble to identical
  * machine code, and its block structure must be stable.  This
  * cross-checks the assembler, disassembler, and encoder against each
- * other on full-size production programs.
+ * other on full-size production programs.  Also checks that set-up
+ * is repeatable: every machine set up from one application starts
+ * from the same data region and program.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "analysis/experiments.hh"
+#include "core/packetbench.hh"
 #include "isa/assembler.hh"
 #include "isa/disasm.hh"
 #include "sim/bblock.hh"
@@ -77,6 +82,26 @@ TEST_P(AppProgramRoundTrip, BlockStructureIsSane)
     }
     EXPECT_TRUE(has_sys);
     EXPECT_TRUE(prog.hasSymbol("main"));
+}
+
+/**
+ * setup() is const: it writes the application's host tables into a
+ * machine without changing them, so two machines built over one
+ * application get byte-identical data regions and programs.
+ */
+TEST_P(AppProgramRoundTrip, TwoBenchesOverOneAppStartIdentical)
+{
+    auto app = makeApp(GetParam(), ExperimentConfig{});
+    core::PacketBench first(*app);
+    core::PacketBench second(*app);
+    using namespace sim::layout;
+    EXPECT_EQ(std::memcmp(first.memory().readable(dataBase, dataSize).ptr,
+                          second.memory().readable(dataBase, dataSize).ptr,
+                          dataSize),
+              0);
+    EXPECT_EQ(first.program().baseAddr, second.program().baseAddr);
+    EXPECT_EQ(first.program().words, second.program().words);
+    EXPECT_EQ(first.program().symbols, second.program().symbols);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -39,7 +39,7 @@ class WildLoadApp : public Application
     std::string name() const override { return "wild-load"; }
 
     isa::Program
-    setup(sim::Memory &mem) override
+    setup(sim::Memory &mem) const override
     {
         mem.write32(sim::layout::dataBase, 0x1234);
         return isa::Assembler(sim::layout::textBase).assemble(R"(
@@ -59,7 +59,7 @@ class AlwaysFaultApp : public Application
     std::string name() const override { return "always-fault"; }
 
     isa::Program
-    setup(sim::Memory &mem) override
+    setup(sim::Memory &mem) const override
     {
         (void)mem;
         return isa::Assembler(sim::layout::textBase).assemble(R"(
@@ -77,7 +77,7 @@ class SpinApp : public Application
     std::string name() const override { return "spin"; }
 
     isa::Program
-    setup(sim::Memory &mem) override
+    setup(sim::Memory &mem) const override
     {
         (void)mem;
         return isa::Assembler(sim::layout::textBase)

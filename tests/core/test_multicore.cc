@@ -230,7 +230,7 @@ TEST(MultiCore, ParallelPropagatesWorkerExceptions)
       public:
         std::string name() const override { return "spin"; }
         isa::Program
-        setup(sim::Memory &mem) override
+        setup(sim::Memory &mem) const override
         {
             (void)mem;
             return isa::Assembler(sim::layout::textBase)

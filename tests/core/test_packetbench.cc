@@ -30,7 +30,7 @@ class CountingApp : public Application
     std::string name() const override { return "counting"; }
 
     isa::Program
-    setup(sim::Memory &mem) override
+    setup(sim::Memory &mem) const override
     {
         mem.write32(sim::layout::dataBase, 0);
         std::string src = strprintf(".equ COUNTER, 0x%08x\n",
@@ -55,7 +55,7 @@ class SpinApp : public Application
     std::string name() const override { return "spin"; }
 
     isa::Program
-    setup(sim::Memory &mem) override
+    setup(sim::Memory &mem) const override
     {
         (void)mem;
         return isa::Assembler(sim::layout::textBase)

@@ -33,7 +33,7 @@ class ForwardApp : public core::Application
     std::string name() const override { return "forward"; }
 
     isa::Program
-    setup(sim::Memory &mem) override
+    setup(sim::Memory &mem) const override
     {
         (void)mem;
         // a0 arrives holding the packet base address.

@@ -264,7 +264,7 @@ class HeaderApp : public core::Application
     std::string name() const override { return "header-sum"; }
 
     isa::Program
-    setup(sim::Memory &mem) override
+    setup(sim::Memory &mem) const override
     {
         (void)mem;
         return isa::Assembler(sim::layout::textBase).assemble(R"(
@@ -328,7 +328,7 @@ class SpinApp : public core::Application
     std::string name() const override { return "spin"; }
 
     isa::Program
-    setup(sim::Memory &mem) override
+    setup(sim::Memory &mem) const override
     {
         (void)mem;
         return isa::Assembler(sim::layout::textBase)

@@ -39,7 +39,7 @@ class AcceptApp : public core::Application
     std::string name() const override { return "accept"; }
 
     isa::Program
-    setup(sim::Memory &mem) override
+    setup(sim::Memory &mem) const override
     {
         (void)mem;
         return isa::Assembler(sim::layout::textBase).assemble(R"(
@@ -58,7 +58,7 @@ class FaultApp : public core::Application
     std::string name() const override { return "always-fault"; }
 
     isa::Program
-    setup(sim::Memory &mem) override
+    setup(sim::Memory &mem) const override
     {
         (void)mem;
         return isa::Assembler(sim::layout::textBase).assemble(R"(

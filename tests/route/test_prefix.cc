@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "common/bitops.hh"
+#include "common/rng.hh"
 #include "route/prefix.hh"
 
 namespace
@@ -16,6 +18,58 @@ namespace
 
 using namespace pb;
 using namespace pb::route;
+
+/**
+ * The generator's former construction, kept as its oracle: the same
+ * draws, deduplicated through a std::set.
+ */
+std::vector<RouteEntry>
+setReferenceTable(uint32_t n, uint32_t seed, uint8_t min_len,
+                  uint8_t max_len, bool all_slash8)
+{
+    static const std::vector<double> weights = {
+        0.5, 0.2, 0.3, 0.4, 0.8, 1.0, 1.2, 1.5, 8.0,
+        2.0, 3.0, 6.0, 5.0, 4.5, 5.5, 4.0, 55.0,
+        0.5, 0.4, 0.3, 0.3, 0.2, 0.1,
+    };
+    Rng rng(seed ^ 0x0a11e57u);
+    std::vector<RouteEntry> table;
+    std::set<std::pair<uint32_t, uint8_t>> seen;
+    auto add = [&](uint32_t prefix, uint8_t len) -> bool {
+        prefix &= prefixMask(len);
+        if (!seen.emplace(prefix, len).second)
+            return false;
+        table.push_back({prefix, len, 1 + rng.below(numInterfaces)});
+        return true;
+    };
+    add(0, 0);
+    if (all_slash8) {
+        for (uint32_t top = 0; top < 256; top++)
+            add(top << 24, 8);
+    }
+    uint32_t added = 0;
+    while (added < n) {
+        auto len = static_cast<uint8_t>(8 + rng.weighted(weights));
+        len = std::clamp(len, min_len, max_len);
+        if (add(rng.next(), len))
+            added++;
+    }
+    return table;
+}
+
+TEST(TableGen, MatchesSetReference)
+{
+    for (uint32_t n : {0u, 1u, 100u, 4096u, 32768u}) {
+        for (uint32_t seed : {1u, 2u, 0xc0ffeeu}) {
+            EXPECT_EQ(generateCoreTable(n, seed),
+                      setReferenceTable(n, seed, 8, 30, true))
+                << "core n=" << n << " seed=" << seed;
+            EXPECT_EQ(generateSmallTable(n, seed),
+                      setReferenceTable(n, seed, 8, 24, false))
+                << "small n=" << n << " seed=" << seed;
+        }
+    }
+}
 
 TEST(TableGen, CoreTableShape)
 {

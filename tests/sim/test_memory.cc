@@ -124,6 +124,46 @@ TEST(Memory, BlockCopyRoundTrip)
     EXPECT_EQ(std::memcmp(src, dst, sizeof(src)), 0);
 }
 
+TEST(Memory, WriteWordsMatchesWrite32)
+{
+    std::vector<uint32_t> words(37);
+    for (size_t i = 0; i < words.size(); i++)
+        words[i] = 0x01020304u * static_cast<uint32_t>(i + 1) + 0x80;
+    const uint32_t bytes = static_cast<uint32_t>(words.size() * 4);
+    // At the first and at the last word of a region.
+    for (uint32_t addr : {dataBase, dataBase + dataSize - bytes}) {
+        Memory looped;
+        Memory bulk;
+        for (size_t i = 0; i < words.size(); i++)
+            looped.write32(addr + static_cast<uint32_t>(i) * 4, words[i]);
+        bulk.writeWords(addr, words);
+        EXPECT_EQ(std::memcmp(looped.readable(dataBase, dataSize).ptr,
+                              bulk.readable(dataBase, dataSize).ptr,
+                              dataSize),
+                  0)
+            << std::hex << "at 0x" << addr;
+        EXPECT_EQ(bulk.read8(addr), 0x84) << "little-endian words";
+        EXPECT_EQ(bulk.read32(addr + bytes - 4), words.back());
+    }
+}
+
+TEST(Memory, WriteWordsPastRegionEndThrows)
+{
+    Memory mem;
+    const std::vector<uint32_t> words = {1, 2, 3, 4};
+    // Three words fit before the end of the data region; the fourth
+    // would not, so nothing is written.
+    const uint32_t addr = dataBase + dataSize - 12;
+    EXPECT_THROW(mem.writeWords(addr, words), MemoryError);
+    for (uint32_t off = 0; off < 12; off++)
+        EXPECT_EQ(mem.read8(addr + off), 0) << "offset " << off;
+    EXPECT_THROW(mem.writeWords(packetBase + packetSize, words),
+                 MemoryError);
+    EXPECT_THROW(mem.writeWords(dataBase + 2, words), AlignmentError);
+    EXPECT_EQ(mem.read32(dataBase), 0u);
+    EXPECT_EQ(mem.read32(dataBase + 4), 0u);
+}
+
 TEST(Memory, FillAndReset)
 {
     Memory mem;
