@@ -15,9 +15,11 @@ invariants:
   record lacks) over interval_ns, and the process pps, mips and
   fault_pps are the change in packets, insts and faults, up to the
   rounding of the %.6g output;
-- the final record accounts for every packet (packets == sent +
-  dropped + faults), and its engines' packets and faults sum to the
-  process packets and faults.
+- every record accounts for every packet (packets == sent + dropped
+  + faults), and its engines' packets and faults sum to the process
+  packets and faults: the pump reads each engine once per record and
+  the process block is their sum, so mid-run records balance exactly
+  like the final one.
 
 Usage: check_stats.py STATS.ndjson
 """
@@ -113,13 +115,28 @@ PROCESS_DELTAS = (("pps", "packets", 1.0), ("mips", "insts", 1e6),
 ENGINE_DELTAS = (("pps", "packets", 1.0), ("fault_pps", "faults", 1.0))
 
 
+def check_balance(where, rec):
+    """packets == sent + dropped + faults, and the engines sum to the
+    process packets and faults."""
+    p = rec["process"]
+    if p["packets"] != p["sent"] + p["dropped"] + p["faults"]:
+        fail(f"{where}: packets {p['packets']} != sent {p['sent']} + "
+             f"dropped {p['dropped']} + faults {p['faults']}")
+    for key in MONOTONE_ENGINE:
+        engine_sum = sum(eng[key] for eng in rec["engines"])
+        if engine_sum != p[key]:
+            fail(f"{where}: engines sum to {key} {engine_sum} != "
+                 f"process {key} {p[key]}")
+
+
 def check_invariants(records):
-    """Counters never decrease, every rate is its total's delta, and
-    the final record balances exactly."""
+    """Every record balances, counters never decrease, and every rate
+    is its total's delta."""
     prev_process = None
     prev_engines = {}
     for lineno, rec in records:
         where = f"line {lineno}"
+        check_balance(where, rec)
         process = rec["process"]
         interval_ns = rec["interval_ns"]
         if prev_process is not None:
@@ -153,21 +170,6 @@ def check_invariants(records):
             engines[eng_id] = eng
         prev_process = process
         prev_engines = engines
-
-    # Only the final record must balance: StatsPump::stop() writes it
-    # after the run body returns and every engine has joined, while a
-    # mid-run record reads pb.packets before the other counters.
-    lineno, last = records[-1]
-    p = last["process"]
-    if p["packets"] != p["sent"] + p["dropped"] + p["faults"]:
-        fail(f"line {lineno}: final record has packets {p['packets']} "
-             f"!= sent {p['sent']} + dropped {p['dropped']} + "
-             f"faults {p['faults']}")
-    for key in MONOTONE_ENGINE:
-        engine_sum = sum(eng[key] for eng in last["engines"])
-        if engine_sum != p[key]:
-            fail(f"line {lineno}: final record's engines sum to "
-                 f"{key} {engine_sum} != process {key} {p[key]}")
 
 
 def main():

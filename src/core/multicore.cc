@@ -51,18 +51,6 @@ MultiCoreResult::speedup() const
 namespace
 {
 
-/** Count one processed packet of @p l3_len bytes into @p load. */
-void
-addOutcome(EngineLoad &load, const PacketOutcome &outcome,
-           uint64_t l3_len)
-{
-    load.packets++;
-    load.instructions += outcome.stats.instCount;
-    load.bytes += l3_len;
-    if (outcome.faulted())
-        load.faults++;
-}
-
 /**
  * @name Engine hand-off spin budget.
  * The dispatcher and the workers usually find their peer mid-stream,
@@ -146,7 +134,6 @@ MultiCoreBench::MultiCoreBench(const AppFactory &factory,
         engines.push_back(
             std::make_unique<PacketBench>(*apps.back(), engine_cfg));
     }
-    loads.assign(num_engines, EngineLoad{});
     dispatchedPackets.assign(num_engines, 0);
 }
 
@@ -212,9 +199,7 @@ uint32_t
 MultiCoreBench::processPacket(net::Packet &packet)
 {
     uint32_t index = dispatchIndex(packet);
-    uint64_t l3_len = packet.l3Len();
-    addOutcome(loads[index], engines[index]->processPacket(packet),
-               l3_len);
+    engines[index]->processPacket(packet);
     PB_COUNTER("mc.packets");
     return index;
 }
@@ -254,13 +239,11 @@ MultiCoreBench::runParallel(net::TraceSource &source,
     std::exception_ptr first_error;
     std::atomic<bool> abort{false};
 
-    // One worker per engine; only worker e touches engines[e] and
-    // loads[e], so per-engine state needs no locking (thread start
-    // and join order the accesses against this thread).  Workers
-    // count into a private EngineLoad and fold it into loads[e] on
-    // exit: neighbouring loads[] entries share a cache line.  A
-    // worker that throws records the exception, raises abort and
-    // closes its own queue, which releases a dispatcher parked on it.
+    // One worker per engine; only worker e touches engines[e], so
+    // per-engine state needs no locking (thread start and join order
+    // the accesses against this thread).  A worker that throws
+    // records the exception, raises abort and closes its own queue,
+    // which releases a dispatcher parked on it.
     std::vector<std::thread> workers;
     workers.reserve(n);
     for (uint32_t e = 0; e < n; e++) {
@@ -271,7 +254,6 @@ MultiCoreBench::runParallel(net::TraceSource &source,
             PacketQueue &queue = *queues[e];
             std::vector<net::Packet> batch;
             batch.reserve(batch_size);
-            EngineLoad load;
             while (spinThenPop(queue, batch, batch_size)) {
                 PB_TRACE_SPAN_NAMED(batch_span, "mc",
                                     "worker.batch");
@@ -280,16 +262,12 @@ MultiCoreBench::runParallel(net::TraceSource &source,
                 batch_span.arg("batch",
                                static_cast<uint64_t>(batch.size()));
                 try {
-                    for (auto &packet : batch) {
-                        // Under Drop/Quarantine a faulting packet is
-                        // an outcome, not an exception, so it cannot
-                        // poison the run; only Abort (or a framework
-                        // bug) reaches the catch below.
-                        uint64_t l3_len = packet.l3Len();
-                        addOutcome(load,
-                                   engines[e]->processPacket(packet),
-                                   l3_len);
-                    }
+                    // Under Drop/Quarantine a faulting packet is an
+                    // outcome, not an exception, so it cannot poison
+                    // the run; only Abort (or a framework bug)
+                    // reaches the catch below.
+                    for (auto &packet : batch)
+                        engines[e]->processPacket(packet);
                     engines[e]->publishInterpMetrics();
                 } catch (...) {
                     {
@@ -303,10 +281,6 @@ MultiCoreBench::runParallel(net::TraceSource &source,
                 }
                 batch.clear();
             }
-            loads[e].packets += load.packets;
-            loads[e].instructions += load.instructions;
-            loads[e].bytes += load.bytes;
-            loads[e].faults += load.faults;
         });
     }
 
@@ -473,8 +447,13 @@ MultiCoreResult
 MultiCoreBench::result() const
 {
     MultiCoreResult res;
-    res.engines = loads;
-    for (const auto &load : loads) {
+    for (const auto &engine : engines) {
+        obs::EngineCounts::Reading counts = engine->counts().read();
+        EngineLoad &load = res.engines.emplace_back();
+        load.packets = counts.packets();
+        load.instructions = counts.insts;
+        load.bytes = counts.bytes;
+        load.faults = counts.faults();
         res.totalPackets += load.packets;
         res.totalInstructions += load.instructions;
         res.totalFaults += load.faults;

@@ -11,7 +11,9 @@
  * no parseable 5-tuple fall back to round-robin.  This class
  * instantiates N independent simulated machines — each with its own
  * memory and application state — and reports the resulting load
- * balance, which bounds the achievable speedup.
+ * balance, which bounds the achievable speedup.  The per-engine
+ * totals are the engines' own PacketBench::counts(), summed when
+ * result() reads them; the bench keeps no count of its own.
  *
  * Execution modes (BenchConfig::parallel):
  *  - serial (default): every engine runs on the calling thread, the
@@ -42,7 +44,10 @@
 namespace pb::core
 {
 
-/** Per-engine totals after a multi-engine run. */
+/**
+ * One engine's totals since its bench was built, read from the
+ * engine's PacketBench::counts().
+ */
 struct EngineLoad
 {
     uint64_t packets = 0;
@@ -108,7 +113,7 @@ class MultiCoreBench
     MultiCoreResult run(net::TraceSource &source,
                         uint64_t max_packets);
 
-    /** Result so far. */
+    /** Result so far: each engine's counts since it was built. */
     MultiCoreResult result() const;
 
     uint32_t numEngines() const
@@ -165,7 +170,6 @@ class MultiCoreBench
     BenchConfig cfg;
     std::vector<std::unique_ptr<Application>> apps;
     std::vector<std::unique_ptr<PacketBench>> engines;
-    std::vector<EngineLoad> loads;
     uint32_t rrNext = 0; ///< round-robin cursor for no-5-tuple packets
 
     /**

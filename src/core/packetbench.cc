@@ -104,16 +104,6 @@ PacketBench::PacketBench(Application &app_, BenchConfig cfg_)
     }
 
     obs::Registry &reg = obs::defaultRegistry();
-    packetsCtr = &reg.counter("pb.packets");
-    instsCtr = &reg.counter("pb.insts");
-    sentCtr = &reg.counter("pb.sent");
-    droppedCtr = &reg.counter("pb.dropped");
-    faultsTotalCtr = &reg.counter("pb.faults.total");
-    faultsMalformedCtr = &reg.counter("pb.faults.malformed");
-    faultsSimCtr = &reg.counter("pb.faults.sim");
-    faultsBudgetCtr = &reg.counter("pb.faults.budget");
-    faultsQuarantinedCtr = &reg.counter("pb.faults.quarantined");
-    runNsCtr = &reg.counter("sim.interp.run_ns");
     interpMipsGauge = &reg.gauge("sim.interp.mips");
     interpBlocksGauge = &reg.gauge("sim.interp.blocks");
     interpBlockLenGauge = &reg.gauge("sim.interp.block_len");
@@ -143,8 +133,14 @@ PacketBench::PacketBench(Application &app_, BenchConfig cfg_)
     // for the tracer's lifetime, not the app's std::string buffer.
     tracedAppName = obs::Tracer::instance().intern(app.name());
 
-    // Live telemetry record for this engine (stable reference).
-    telem = &obs::Telemetry::instance().engine(cfg.engineId);
+    // Last, so a constructor that throws leaves nothing attached:
+    // from here on the hub (and with it pb.*) reads this record.
+    telem = &obs::Telemetry::instance().attach(cfg.engineId, tally);
+}
+
+PacketBench::~PacketBench()
+{
+    obs::Telemetry::instance().retire(cfg.engineId, tally);
 }
 
 void
@@ -187,9 +183,10 @@ PacketBench::publishInterpMetrics()
     // Interpreter-level view of the same run: simulated MIPS plus the
     // block-stepped loop's shape (straight-line runs entered and mean
     // instructions per run).  blocks stays 0 in Reference mode.
-    if (mySimNs > 0)
-        interpMipsGauge->set(static_cast<double>(myInsts) * 1e3 /
-                             static_cast<double>(mySimNs));
+    obs::EngineCounts::Reading counts = tally.read();
+    if (counts.runNs > 0)
+        interpMipsGauge->set(static_cast<double>(counts.insts) * 1e3 /
+                             static_cast<double>(counts.runNs));
     uint64_t blocks = cpu.totalBlockCount();
     interpBlocksGauge->set(static_cast<double>(blocks));
     interpBlockLenGauge->set(
@@ -210,35 +207,30 @@ PacketBench::recordFault(const net::Packet &capture, FaultKind kind,
     outcome.verdict = isa::SysCode::Drop;
     outcome.fault = kind;
     outcome.faultMessage = std::move(message);
-    packetCount++;
 
-    // Invariant: pb.packets == pb.sent + pb.dropped + pb.faults.total.
-    // A faulted packet counts as a packet (and any partial work the
-    // handler did counts as instructions and simulation time), but it
-    // is neither sent nor dropped and stays out of the per-packet
-    // histograms that characterize the workload.
-    packetsCtr->add(1);
-    instsCtr->add(outcome.stats.instCount);
-    runNsCtr->add(sim_ns);
-    faultsTotalCtr->add(1);
+    // A faulted packet counts as a packet, by its kind (and any
+    // partial work the handler did counts as instructions and
+    // simulation time), but it is neither sent nor dropped and stays
+    // out of the per-packet histograms that characterize the
+    // workload.
     switch (kind) {
       case FaultKind::MalformedPacket:
-        faultsMalformedCtr->add(1);
+        tally.malformed.add();
         break;
       case FaultKind::SimFault:
-        faultsSimCtr->add(1);
+        tally.simFaults.add();
         break;
       case FaultKind::BudgetExceeded:
-        faultsBudgetCtr->add(1);
+        tally.budget.add();
         break;
       case FaultKind::None:
         break;
     }
-    myInsts += outcome.stats.instCount;
-    mySimNs += sim_ns;
+    tally.insts.add(outcome.stats.instCount);
+    tally.bytes.add(capture.l3Len());
+    tally.runNs.add(sim_ns);
     if (uarch)
         publishUarchMetrics();
-    telem->countFault(outcome.stats.instCount, capture.l3Len());
 
     // A faulted packet is traffic too: while a pump runs it counts
     // against its flow, so a flow of poison packets surfaces in the
@@ -253,7 +245,7 @@ PacketBench::recordFault(const net::Packet &capture, FaultKind kind,
     if (cfg.faultPolicy == FaultPolicy::Quarantine &&
         cfg.quarantine) {
         cfg.quarantine->write(capture);
-        faultsQuarantinedCtr->add(1);
+        tally.quarantined.add();
     }
     return outcome;
 }
@@ -266,7 +258,10 @@ PacketBench::processPacket(net::Packet &packet)
     PB_TRACE_SPAN_NAMED(span, "pb", "packet");
     span.arg("app", tracedAppName);
     span.arg("engine", static_cast<uint64_t>(cfg.engineId));
-    span.arg("packet", packetCount);
+    // The packet's ordinal costs a read of the whole record, so it is
+    // read only while the span records.
+    if (span.active())
+        span.arg("packet", tally.read().packets());
 
     // Per-flow live accounting keys on the *dispatcher's* view of
     // the packet — the 5-tuple before scrambling or rewriting — so
@@ -322,7 +317,7 @@ PacketBench::processPacket(net::Packet &packet)
     // the completion and the fault path.
     uint32_t npe_period = obs::Tracer::instance().npeSamplePeriod();
     bool sample_npe = obs::traceEnabled() && npe_period > 0 &&
-                      packetCount % npe_period == 0;
+                      tally.read().packets() % npe_period == 0;
     ScopedObserver npe_attach(fanout,
                               sample_npe ? &npeSampler : nullptr);
 
@@ -387,23 +382,19 @@ PacketBench::processPacket(net::Packet &packet)
     span.arg("verdict", outcome.verdict == isa::SysCode::Send
                             ? "send"
                             : "drop");
-    packetCount++;
 
-    // Publish this packet into the run-wide telemetry.
-    packetsCtr->add(1);
-    instsCtr->add(outcome.stats.instCount);
-    (outcome.verdict == isa::SysCode::Send ? sentCtr : droppedCtr)
-        ->add(1);
-    runNsCtr->add(sim_ns);
+    // Count this packet; the run-wide series are views of the count.
+    (outcome.verdict == isa::SysCode::Send ? tally.sent : tally.dropped)
+        .add();
+    tally.insts.add(outcome.stats.instCount);
+    tally.bytes.add(l3_len);
+    tally.runNs.add(sim_ns);
     instHist->observe(outcome.stats.instCount);
     uniqueHist->observe(outcome.stats.uniqueInstCount);
     if (cycleHist)
         cycleHist->observe(outcome.cycles);
-    myInsts += outcome.stats.instCount;
-    mySimNs += sim_ns;
     if (uarch)
         publishUarchMetrics();
-    telem->count(outcome.stats.instCount, l3_len);
 
     // Per-packet live telemetry, only while a stats pump runs (one
     // relaxed load and a branch when off).
@@ -429,8 +420,8 @@ PacketBench::run(net::TraceSource &source, uint32_t max_packets,
     std::vector<PacketOutcome> outcomes;
     auto run_start = clock::now();
     auto beat_at = run_start;
-    uint64_t run_start_packets = packetCount;
-    uint64_t beat_packets = packetCount;
+    uint64_t run_start_packets = packetsProcessed();
+    uint64_t beat_packets = run_start_packets;
     for (uint32_t i = 0; i < max_packets; i++) {
         // Graceful shutdown (SIGINT/SIGTERM via common/shutdown.hh):
         // stop pulling packets; the partial run's statistics flush
@@ -459,34 +450,34 @@ PacketBench::run(net::TraceSource &source, uint32_t max_packets,
         // Instantaneous rate over the interval since the previous
         // beat next to the cumulative average since run start, so a
         // stall or burst is visible against the run's overall pace.
+        obs::EngineCounts::Reading counts = tally.read();
         double beat_s =
             std::chrono::duration<double>(now - beat_at).count();
         double now_pps =
             beat_s > 0.0
-                ? static_cast<double>(packetCount - beat_packets) /
+                ? static_cast<double>(counts.packets() - beat_packets) /
                       beat_s
                 : 0.0;
         double run_s =
             std::chrono::duration<double>(now - run_start).count();
         double avg_pps =
             run_s > 0.0 ? static_cast<double>(
-                              packetCount - run_start_packets) /
+                              counts.packets() - run_start_packets) /
                               run_s
                         : 0.0;
         PB_LOG(Info,
                "%s: %llu packets (%.0f pkt/s now / %.0f avg), "
                "%llu insts, %.1f sim-MIPS, %llu faults",
                app.name().c_str(),
-               static_cast<unsigned long long>(packetCount),
+               static_cast<unsigned long long>(counts.packets()),
                now_pps, avg_pps,
-               static_cast<unsigned long long>(myInsts),
-               mySimNs ? static_cast<double>(myInsts) * 1e3 /
-                             static_cast<double>(mySimNs)
-                       : 0.0,
-               static_cast<unsigned long long>(
-                   faultsTotalCtr->value()));
+               static_cast<unsigned long long>(counts.insts),
+               counts.runNs ? static_cast<double>(counts.insts) * 1e3 /
+                                  static_cast<double>(counts.runNs)
+                            : 0.0,
+               static_cast<unsigned long long>(counts.faults()));
         beat_at = now;
-        beat_packets = packetCount;
+        beat_packets = counts.packets();
     }
     publishInterpMetrics();
     return outcomes;

@@ -12,6 +12,10 @@
  *    with *selective accounting* enabled,
  *  - collect the SEND/DROP verdict and per-packet statistics,
  *  - optionally write accepted packets to an output trace.
+ *
+ * Each instance counts every packet once, in its own
+ * obs::EngineCounts record (counts()); the registry's pb.* series,
+ * the stats pump and MultiCoreResult are all reads of those records.
  */
 
 #ifndef PB_CORE_PACKETBENCH_HH
@@ -106,8 +110,9 @@ struct BenchConfig
      * (no L3 bytes, oversized) or a simulator fault in the handler
      * (bad access, bad opcode, blown instruction budget).  Abort
      * preserves the historical throwing behavior; Drop and Quarantine
-     * record the fault in the PacketOutcome and the pb.faults.*
-     * metrics and leave the engine clean for the next packet.
+     * record the fault in the PacketOutcome and the instance's
+     * counts (the pb.faults.* series) and leave the engine clean for
+     * the next packet.
      */
     FaultPolicy faultPolicy = FaultPolicy::Abort;
 
@@ -122,10 +127,10 @@ struct BenchConfig
      * Emit a PB_LOG(Info) heartbeat at most every this many
      * milliseconds of wall time in run(); 0 disables.  Defaults to
      * the PB_HEARTBEAT_MS environment variable (5000 when unset).
-     * The line carries packets, the instantaneous pkt/s over the
-     * interval since the previous beat ("now") next to the
-     * cumulative run average ("avg"), instructions, sim-MIPS, and
-     * the run-wide pb.faults.total count.  Silent unless
+     * The line carries the instance's packets, the instantaneous
+     * pkt/s over the interval since the previous beat ("now") next to
+     * the cumulative run average ("avg"), and its instructions,
+     * sim-MIPS and faults, all read from counts().  Silent unless
      * PB_LOG_LEVEL allows Info.
      */
     uint32_t heartbeatMs = defaultHeartbeatMs();
@@ -205,6 +210,13 @@ class PacketBench
      */
     explicit PacketBench(Application &app, BenchConfig cfg = {});
 
+    /** Retires counts() into its engine's since-start total. */
+    ~PacketBench();
+
+    // The telemetry hub holds the address of counts().
+    PacketBench(const PacketBench &) = delete;
+    PacketBench &operator=(const PacketBench &) = delete;
+
     /**
      * Process one packet and return its statistics and verdict.
      * Accepted packets (SEND) have their possibly-modified bytes
@@ -242,7 +254,13 @@ class PacketBench
     sim::Cpu &core() { return cpu; }
     const sim::Cpu &core() const { return cpu; }
     const isa::Program &program() const { return cpu.program(); }
-    uint64_t packetsProcessed() const { return packetCount; }
+    uint64_t packetsProcessed() const { return tally.read().packets(); }
+
+    /**
+     * Everything this instance's packets cost: the one count behind
+     * the registry's pb.* series, the stats pump and MultiCoreResult.
+     */
+    const obs::EngineCounts &counts() const { return tally; }
     /** @} */
 
   private:
@@ -258,7 +276,13 @@ class PacketBench
     sim::FanoutObserver fanout;
     net::AddressScrambler scrambler;
     uint32_t entry = 0;
-    uint64_t packetCount = 0;
+
+    /**
+     * This instance's packet accounting, written only by the thread
+     * processing its packets and attached to the telemetry hub under
+     * cfg.engineId from construction to destruction.
+     */
+    obs::EngineCounts tally;
 
     /**
      * Sampled NPE32 event stream (obs/tracing.hh): attached to the
@@ -280,7 +304,7 @@ class PacketBench
 
     /**
      * Record one faulted packet (policy is Drop or Quarantine):
-     * builds the Faulted outcome, publishes pb.faults.*, and — when
+     * builds the Faulted outcome, counts the fault by kind, and — when
      * quarantining — writes @p capture (the packet as read from the
      * trace, pre-scramble) to cfg.quarantine.  Partial work the
      * handler did before faulting arrives via @p stats / @p cycles /
@@ -296,28 +320,16 @@ class PacketBench
                               const net::FiveTuple &flow);
 
     /**
-     * Live telemetry (obs/stats.hh) for this engine.  The since-start
-     * totals are fed on every packet, on a cache line only this
-     * engine writes.  The instructions-per-packet histogram and the
-     * per-flow top-K table are fed only while a stats pump runs
-     * (obs::statsEnabled()); the disabled path is one relaxed load
-     * and a branch.
+     * Live telemetry (obs/stats.hh) for this engine id.  The
+     * instructions-per-packet histogram and the per-flow top-K table
+     * are fed only while a stats pump runs (obs::statsEnabled()); the
+     * disabled path is one relaxed load and a branch.
      */
     obs::EngineTelemetry *telem = nullptr;
 
     /** @name Published telemetry (obs/metrics.hh). @{ */
     void publishUarchMetrics();
 
-    obs::Counter *packetsCtr;
-    obs::Counter *instsCtr;
-    obs::Counter *sentCtr;
-    obs::Counter *droppedCtr;
-    obs::Counter *faultsTotalCtr;
-    obs::Counter *faultsMalformedCtr;
-    obs::Counter *faultsSimCtr;
-    obs::Counter *faultsBudgetCtr;
-    obs::Counter *faultsQuarantinedCtr;
-    obs::Counter *runNsCtr;
     obs::Gauge *interpMipsGauge;
     obs::Gauge *interpBlocksGauge;
     obs::Gauge *interpBlockLenGauge;
@@ -327,7 +339,7 @@ class PacketBench
 
     /**
      * Cached uarch metric references, resolved at construction like
-     * the pb.* counters above (non-null only when cfg.microArch).
+     * the gauges above (non-null only when cfg.microArch).
      * Per-instance members, not function-local statics: a static
      * would be shared across instances and would dangle if a test
      * ever swapped the default registry.
@@ -341,10 +353,6 @@ class PacketBench
     obs::Gauge *uarchIcacheRateGauge = nullptr;
     obs::Gauge *uarchDcacheRateGauge = nullptr;
     obs::Gauge *uarchBranchRateGauge = nullptr;
-
-    /** This instance's share (the counters are process-global). */
-    uint64_t myInsts = 0;
-    uint64_t mySimNs = 0;
 
     /** Last published uarch totals, for delta publishing. */
     struct UarchSnapshot

@@ -175,6 +175,19 @@ Registry::counter(const std::string &name)
     return *slot(name, MetricKind::Counter).c;
 }
 
+void
+Registry::counterView(const std::string &name,
+                      std::function<uint64_t()> read)
+{
+    Slot &s = slot(name, MetricKind::Counter);
+    std::lock_guard<std::mutex> lock(mu);
+    if (s.view)
+        panic("counter '%s' is already a view", name.c_str());
+    s.view = std::make_unique<Counter::View>();
+    s.view->read = std::move(read);
+    s.c->view.store(s.view.get(), std::memory_order_release);
+}
+
 Gauge &
 Registry::gauge(const std::string &name)
 {
@@ -231,6 +244,9 @@ Registry::reset()
           case MetricKind::Counter:
             for (auto &stripe : s.c->stripes)
                 stripe.value.store(0, std::memory_order_relaxed);
+            if (s.view)
+                s.view->base.store(s.view->read(),
+                                   std::memory_order_relaxed);
             break;
           case MetricKind::Gauge:
             s.g->value_.store(0.0, std::memory_order_relaxed);
@@ -318,7 +334,8 @@ constexpr HelpRow helpTable[] = {
     {"mc.wall_ns", "Multi-core run wall time in nanoseconds"},
     {"mc.dispatch.no_tuple",
      "Packets without a 5-tuple (round-robin dispatched)"},
-    {"mc.engine", "Per-engine load split from the last run", true},
+    {"mc.engine",
+     "Per-engine totals since the multi-core bench was built", true},
     {"mc.queue", "Per-engine dispatch queue occupancy", true},
     {"trace.packets_read", "Packets read from trace sources"},
     {"trace.packets_written", "Packets written to trace sinks"},

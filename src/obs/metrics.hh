@@ -23,9 +23,15 @@
  * idiom).  Counters and histograms are striped: each keeps
  * numStripes cache-line-aligned copies of its state, a thread
  * writes only the stripe it picked once (stripeIndex()), and reads
- * sum every stripe.  Engine workers that bump the same metric on
- * every packet therefore never write the same cache line, the
+ * sum every stripe.  Engine workers that observe the same histogram
+ * on every packet therefore never write the same cache line, the
  * per-core-counter idiom of packet-processing daemons.
+ *
+ * A counter can instead be a view of a count kept elsewhere
+ * (Registry::counterView), computed when read.  The packet counts
+ * (pb.packets, pb.insts, pb.sent, pb.dropped, pb.faults.*) and
+ * sim.interp.run_ns are views of the engines' records
+ * (obs/stats.hh), so nothing adds to them per packet.
  *
  * Every series here is a since-start total or a last-written value.
  * Live rates are derived from them, not stored: the stats pump
@@ -42,6 +48,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -91,7 +98,11 @@ stripeIndex()
     return stripe < numStripes ? stripe : detail::pickStripe();
 }
 
-/** Monotonically increasing event count. */
+/**
+ * Monotonically increasing event count.  A counter registered with
+ * Registry::counterView() is a view: its value is read from a count
+ * kept elsewhere, and add() does not change it.
+ */
 class Counter
 {
   public:
@@ -102,10 +113,18 @@ class Counter
             n, std::memory_order_relaxed);
     }
 
-    /** Sum over every stripe. */
+    /**
+     * Sum over every stripe; for a view, what its source gained
+     * since the registry's last reset().
+     */
     uint64_t
     value() const
     {
+        if (const View *v = view.load(std::memory_order_acquire)) {
+            uint64_t now = v->read();
+            uint64_t base = v->base.load(std::memory_order_relaxed);
+            return now > base ? now - base : 0;
+        }
         uint64_t total = 0;
         for (const Stripe &stripe : stripes)
             total += stripe.value.load(std::memory_order_relaxed);
@@ -120,6 +139,15 @@ class Counter
         std::atomic<uint64_t> value{0};
     };
     Stripe stripes[numStripes];
+
+    /** A view's source, and its reading at the last reset(). */
+    struct View
+    {
+        std::function<uint64_t()> read;
+        std::atomic<uint64_t> base{0};
+    };
+    /** Set once by Registry::counterView(), which owns it. */
+    std::atomic<View *> view{nullptr};
 };
 
 /** Last-written instantaneous value (rates, sizes, ratios). */
@@ -229,6 +257,17 @@ class Registry
     Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
 
+    /**
+     * Make counter @p name a view of @p read, a since-start count
+     * kept outside the registry and computed whenever the counter is
+     * read.  reset() makes the view count from zero.  @p read may
+     * take its own lock: the registry calls it holding the registry
+     * lock, so its source must never call the registry while holding
+     * that lock.  Panics if @p name is already a view.
+     */
+    void counterView(const std::string &name,
+                     std::function<uint64_t()> read);
+
     /** One metric in a snapshot; only the matching field is valid. */
     struct Entry
     {
@@ -266,6 +305,7 @@ class Registry
     {
         MetricKind kind;
         std::unique_ptr<Counter> c;
+        std::unique_ptr<Counter::View> view;
         std::unique_ptr<Gauge> g;
         std::unique_ptr<Histogram> h;
     };

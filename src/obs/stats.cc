@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include <unistd.h>
 
@@ -45,29 +46,72 @@ telemetryNowNs()
 
 } // namespace
 
-void
-EngineTelemetry::reset()
+EngineCounts::Reading &
+EngineCounts::Reading::operator+=(const Reading &other)
 {
-    totals.packets.store(0, std::memory_order_relaxed);
-    totals.bytes.store(0, std::memory_order_relaxed);
-    totals.insts.store(0, std::memory_order_relaxed);
-    totals.faults.store(0, std::memory_order_relaxed);
-    instsPerPacket.reset();
-    queueDepth.store(0, std::memory_order_relaxed);
-    topk.reset();
+    sent += other.sent;
+    dropped += other.dropped;
+    malformed += other.malformed;
+    simFaults += other.simFaults;
+    budget += other.budget;
+    quarantined += other.quarantined;
+    insts += other.insts;
+    bytes += other.bytes;
+    runNs += other.runNs;
+    return *this;
+}
+
+EngineCounts::Reading
+EngineCounts::read() const
+{
+    Reading r;
+    r.sent = sent.value();
+    r.dropped = dropped.value();
+    r.malformed = malformed.value();
+    r.simFaults = simFaults.value();
+    r.budget = budget.value();
+    r.quarantined = quarantined.value();
+    r.insts = insts.value();
+    r.bytes = bytes.value();
+    r.runNs = runNs.value();
+    return r;
 }
 
 Telemetry &
 Telemetry::instance()
 {
-    static Telemetry hub;
-    return hub;
+    // Never destroyed: the registry's views read it, and a registry
+    // read may come after static destruction has begun.
+    static Telemetry *hub = new Telemetry();
+    return *hub;
+}
+
+Telemetry::Telemetry()
+{
+    // The run-wide packet series add nothing per packet: each is a
+    // sum over every engine's record, computed when read.
+    using Field = uint64_t (*)(const EngineCounts::Reading &);
+    using R = const EngineCounts::Reading &;
+    const std::pair<const char *, Field> views[] = {
+        {"pb.packets", [](R r) { return r.packets(); }},
+        {"pb.insts", [](R r) { return r.insts; }},
+        {"pb.sent", [](R r) { return r.sent; }},
+        {"pb.dropped", [](R r) { return r.dropped; }},
+        {"pb.faults.total", [](R r) { return r.faults(); }},
+        {"pb.faults.malformed", [](R r) { return r.malformed; }},
+        {"pb.faults.sim", [](R r) { return r.simFaults; }},
+        {"pb.faults.budget", [](R r) { return r.budget; }},
+        {"pb.faults.quarantined", [](R r) { return r.quarantined; }},
+        {"sim.interp.run_ns", [](R r) { return r.runNs; }},
+    };
+    for (auto [name, field] : views)
+        defaultRegistry().counterView(
+            name, [this, field = field] { return field(total()); });
 }
 
 EngineTelemetry &
-Telemetry::engine(uint32_t id)
+Telemetry::find(uint32_t id)
 {
-    std::lock_guard<std::mutex> lock(mu);
     for (auto &record : records) {
         if (record->engineId == id)
             return *record;
@@ -77,28 +121,58 @@ Telemetry::engine(uint32_t id)
     return *records.back();
 }
 
-std::vector<EngineTelemetry *>
-Telemetry::engines() const
+EngineTelemetry &
+Telemetry::engine(uint32_t id)
 {
-    std::vector<EngineTelemetry *> out;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        out.reserve(records.size());
-        for (const auto &record : records)
-            out.push_back(record.get());
-    }
-    std::sort(out.begin(), out.end(),
-              [](const EngineTelemetry *a, const EngineTelemetry *b) {
-                  return a->engineId < b->engineId;
-              });
-    return out;
+    std::lock_guard<std::mutex> lock(mu);
+    return find(id);
+}
+
+EngineTelemetry &
+Telemetry::attach(uint32_t id, const EngineCounts &counts)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    EngineTelemetry &telem = find(id);
+    telem.attached.push_back(&counts);
+    return telem;
 }
 
 void
-Telemetry::reset()
+Telemetry::retire(uint32_t id, const EngineCounts &counts)
 {
-    for (EngineTelemetry *engine : engines())
-        engine->reset();
+    std::lock_guard<std::mutex> lock(mu);
+    EngineTelemetry &telem = find(id);
+    auto it = std::find(telem.attached.begin(), telem.attached.end(),
+                        &counts);
+    if (it == telem.attached.end())
+        panic("retiring counts never attached to engine %u", id);
+    telem.attached.erase(it);
+    telem.retired += counts.read();
+}
+
+std::vector<Telemetry::EngineReading>
+Telemetry::read() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    std::vector<EngineReading> out;
+    out.reserve(records.size());
+    for (const auto &record : records) {
+        EngineReading &r = out.emplace_back();
+        r.telem = record.get();
+        r.counts = record->retired;
+        for (const EngineCounts *counts : record->attached)
+            r.counts += counts->read();
+    }
+    return out;
+}
+
+EngineCounts::Reading
+Telemetry::total() const
+{
+    EngineCounts::Reading sum;
+    for (const EngineReading &r : read())
+        sum += r.counts;
+    return sum;
 }
 
 uint32_t
@@ -212,24 +286,18 @@ StatsPump::loop()
 StatsPump::Sample
 StatsPump::readTotals() const
 {
-    Registry &reg = defaultRegistry();
     Sample s;
-    s.packets = reg.counter("pb.packets").value();
-    s.insts = reg.counter("pb.insts").value();
-    s.sent = reg.counter("pb.sent").value();
-    s.dropped = reg.counter("pb.dropped").value();
-    s.faults = reg.counter("pb.faults.total").value();
-    s.traceDropped = reg.counter("trace.dropped").value();
-    for (const EngineTelemetry *telem : Telemetry::instance().engines()) {
-        const EngineTelemetry::Totals &t = telem->totals;
-        EngineSample &e = s.engines[telem->engineId];
-        e.telem = telem;
-        e.packets = t.packets.load(std::memory_order_relaxed);
-        e.bytes = t.bytes.load(std::memory_order_relaxed);
-        e.insts = t.insts.load(std::memory_order_relaxed);
-        e.faults = t.faults.load(std::memory_order_relaxed);
-        e.queueDepth = telem->queueDepth.load(std::memory_order_relaxed);
-        e.instsPerPacket = telem->instsPerPacket.snapshot();
+    s.traceDropped =
+        defaultRegistry().counter("trace.dropped").value();
+    for (const Telemetry::EngineReading &r :
+         Telemetry::instance().read()) {
+        EngineSample &e = s.engines[r.telem->engineId];
+        e.telem = r.telem;
+        e.counts = r.counts;
+        e.queueDepth =
+            r.telem->queueDepth.load(std::memory_order_relaxed);
+        e.instsPerPacket = r.telem->instsPerPacket.snapshot();
+        s.counts += r.counts;
     }
     return s;
 }
@@ -247,16 +315,6 @@ jsonRate(double v)
 }
 
 /**
- * Growth of a since-start total between two ticks.  Totals only
- * grow, except when a test resets the hub: then count from zero.
- */
-uint64_t
-since(uint64_t now, uint64_t before)
-{
-    return now >= before ? now - before : now;
-}
-
-/**
  * The samples @p now holds beyond @p before, an earlier snapshot of
  * the same histogram: count, sum and buckets (min and max are 0).
  */
@@ -264,9 +322,6 @@ Histogram::Snapshot
 addedSince(const Histogram::Snapshot &now,
            const Histogram::Snapshot &before)
 {
-    if (now.count < before.count ||
-        now.buckets.size() < before.buckets.size())
-        return now; // reset since: count from zero, as since() does
     Histogram::Snapshot added = now;
     added.count -= before.count;
     added.sum -= before.sum;
@@ -285,23 +340,24 @@ StatsPump::computeRates(Sample &now) const
 {
     // One definition of a live rate: a total's growth over the
     // interval.  An engine new since the previous tick counts from 0.
+    // Counts never decrease: a destroyed bench's stay in its
+    // engine's retired total.
     double interval_ns = static_cast<double>(now.intervalNs);
     auto rate = [interval_ns](uint64_t total, uint64_t before) {
-        return static_cast<double>(since(total, before)) * 1e9 /
-               interval_ns;
+        return static_cast<double>(total - before) * 1e9 / interval_ns;
     };
-    now.pps = rate(now.packets, prev.packets);
-    now.mips = rate(now.insts, prev.insts) / 1e6;
-    now.faultPps = rate(now.faults, prev.faults);
+    now.pps = rate(now.counts.packets(), prev.counts.packets());
+    now.mips = rate(now.counts.insts, prev.counts.insts) / 1e6;
+    now.faultPps = rate(now.counts.faults(), prev.counts.faults());
     static const EngineSample absent;
     for (auto &[id, e] : now.engines) {
         auto it = prev.engines.find(id);
         const EngineSample &before =
             it != prev.engines.end() ? it->second : absent;
-        e.pps = rate(e.packets, before.packets);
-        e.bps = rate(e.bytes, before.bytes) * 8.0;
-        e.mips = rate(e.insts, before.insts) / 1e6;
-        e.faultPps = rate(e.faults, before.faults);
+        e.pps = rate(e.counts.packets(), before.counts.packets());
+        e.bps = rate(e.counts.bytes, before.counts.bytes) * 8.0;
+        e.mips = rate(e.counts.insts, before.counts.insts) / 1e6;
+        e.faultPps = rate(e.counts.faults(), before.counts.faults());
         e.addedInstsPerPacket =
             addedSince(e.instsPerPacket, before.instsPerPacket);
     }
@@ -337,13 +393,13 @@ StatsPump::writeRecord(const Sample &now, uint64_t tick_start)
          << ", \"seq\": " << seq << ", \"wall_ns\": " << now.wallNs
          << ", \"interval_ns\": " << now.intervalNs;
 
-    line << ", \"process\": {\"packets\": " << now.packets
+    line << ", \"process\": {\"packets\": " << now.counts.packets()
          << ", \"pps\": " << jsonRate(now.pps)
-         << ", \"insts\": " << now.insts
+         << ", \"insts\": " << now.counts.insts
          << ", \"mips\": " << jsonRate(now.mips)
-         << ", \"sent\": " << now.sent
-         << ", \"dropped\": " << now.dropped
-         << ", \"faults\": " << now.faults
+         << ", \"sent\": " << now.counts.sent
+         << ", \"dropped\": " << now.counts.dropped
+         << ", \"faults\": " << now.counts.faults()
          << ", \"fault_pps\": " << jsonRate(now.faultPps)
          << ", \"trace_dropped\": " << now.traceDropped << "}";
 
@@ -355,11 +411,11 @@ StatsPump::writeRecord(const Sample &now, uint64_t tick_start)
             line << ", ";
         first = false;
         line << "{\"engine\": " << id
-             << ", \"packets\": " << e.packets
+             << ", \"packets\": " << e.counts.packets()
              << ", \"pps\": " << jsonRate(e.pps)
              << ", \"bps\": " << jsonRate(e.bps)
              << ", \"mips\": " << jsonRate(e.mips)
-             << ", \"faults\": " << e.faults
+             << ", \"faults\": " << e.counts.faults()
              << ", \"fault_pps\": " << jsonRate(e.faultPps)
              << ", \"queue_depth\": " << e.queueDepth
              << ", \"insts_per_packet\": {\"count\": " << ipp.count

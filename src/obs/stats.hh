@@ -1,31 +1,35 @@
 /**
  * @file
- * Live telemetry plane: per-engine since-start totals and the stats
+ * Live telemetry plane: each engine's packet counts, and the stats
  * pump that turns them into live rates.
  *
  * Everything the registry (obs/metrics.hh) exports is
  * cumulative-since-start and written once at process exit; this
  * module makes the run observable *while it happens*:
  *
- *  - Telemetry is the process-global hub of per-engine
- *    EngineTelemetry records.  Every engine counts each packet it
- *    processes into its record's since-start totals (packets, layer-3
- *    bytes, instructions, faults), gate or no gate.  While an NDJSON
- *    pump runs, PacketBench also feeds the record's
+ *  - EngineCounts is the one place a PacketBench counts its packets:
+ *    verdicts, faults by kind, instructions, layer-3 bytes and time
+ *    inside Cpu::run, gate or no gate.  Telemetry, the
+ *    process-global hub, reads every bench's record under its engine
+ *    id, keeps what destroyed benches counted, and backs the
+ *    registry's pb.* and sim.interp.run_ns series, which are views of
+ *    its sums.  Per engine id it also keeps an EngineTelemetry: while
+ *    an NDJSON pump runs, PacketBench feeds its
  *    instructions-per-packet histogram and space-saving top-K flow
  *    table (obs/topk.hh), and the dispatcher samples queue depth per
  *    batch.
  *
  *  - StatsPump is a background thread that, every interval, reads
- *    the registry's and every engine's totals back to back and hands
- *    the one sample to up to three sinks: an NDJSON record (schema
- *    packetbench.stats.v1, one JSON object per line) appended to the
- *    `--stats` file, a rewrite of the `--prom` Prometheus snapshot so
- *    scrapers see live values mid-run, and a console speed line
- *    (packetbenchd's "[packetbenchd] X Mpps ..." line).
+ *    every engine's counts once under the hub's lock, sums them into
+ *    the process block, and hands the one sample to up to three
+ *    sinks: an NDJSON record (schema packetbench.stats.v1, one JSON
+ *    object per line) appended to the `--stats` file, a rewrite of
+ *    the `--prom` Prometheus snapshot so scrapers see live values
+ *    mid-run, and a console speed line (packetbenchd's
+ *    "[packetbenchd] X Mpps ..." line).
  *
- * A live rate has one definition: the change in a since-start total
- * over the tick's interval_ns.  The pump takes every total as its
+ * A live rate has one definition: the change in a since-start count
+ * over the tick's interval_ns.  The pump takes every count as its
  * previous sample at start(), so the first record covers only what
  * ran after start, and each engine's insts_per_packet holds the
  * histogram buckets added since the previous tick.
@@ -46,17 +50,20 @@
  *                 "packets": N, "bytes": N, "faults": N,
  *                 "error": N}, ...]} ...]}
  *
- * Counts (packets, insts, faults...) are since-start totals; every
- * rate is its total's delta over interval_ns.  wall_ns counts from
- * pump start and is strictly monotone across records;
- * ci/check_stats.py validates a stream, rates included.
+ * Counts (packets, insts, faults...) are since-start totals, and the
+ * process counts are the engines' sums, so every record balances:
+ * packets == sent + dropped + faults, and the engines sum to the
+ * process.  Every rate is its total's delta over interval_ns.
+ * wall_ns counts from pump start and is strictly monotone across
+ * records; ci/check_stats.py validates a stream, rates and balance
+ * included.
  *
  * Cost contract: with no NDJSON pump running, statsEnabled() is
  * false and the gated part of the per-packet hook — the histogram
  * and flow accounting — is one relaxed atomic load plus a branch
  * (same bar as tracing, enforced by the StatsOverhead test).  The
- * totals cost a relaxed load and store each on a cache line only the
- * engine writes, so the console line needs no gate.
+ * counts cost a relaxed load and store each on cache lines only the
+ * bench writes, so the console line needs no gate.
  */
 
 #ifndef PB_OBS_STATS_HH
@@ -105,28 +112,78 @@ setStatsEnabled(bool on)
 }
 
 /**
- * One engine's live state.  Written by the engine's worker thread
- * (or the single bench thread), read concurrently by the pump; all
- * members are individually thread-safe, so no outer lock exists to
- * contend on the per-packet path.
+ * One PacketBench's packet accounting, and the only place it counts
+ * what its packets cost: verdicts, faults by kind, instructions,
+ * layer-3 bytes and wall time inside Cpu::run.  Packets and faults
+ * are derived from the verdicts and fault kinds, so every Reading
+ * balances by construction.
+ *
+ * One thread writes a record, the one processing the bench's
+ * packets, so a count is a relaxed load and store, never a locked
+ * read-modify-write; readers load each count relaxed.  The record
+ * sits on cache lines of its own.
+ */
+struct alignas(cacheLineBytes) EngineCounts
+{
+    /** A count with one writer. */
+    class Count
+    {
+      public:
+        void
+        add(uint64_t n = 1)
+        {
+            v.store(v.load(std::memory_order_relaxed) + n,
+                    std::memory_order_relaxed);
+        }
+
+        uint64_t value() const { return v.load(std::memory_order_relaxed); }
+
+      private:
+        std::atomic<uint64_t> v{0};
+    };
+
+    Count sent;        ///< the handler executed SYS SEND
+    Count dropped;     ///< the handler executed SYS DROP
+    Count malformed;   ///< faults: rejected before the handler ran
+    Count simFaults;   ///< faults: simulator fault in the handler
+    Count budget;      ///< faults: instruction budget exceeded
+    Count quarantined; ///< faulted packets written to quarantine
+    Count insts;       ///< instructions, faulted packets' included
+    Count bytes;       ///< layer-3 bytes of every packet
+    Count runNs;       ///< wall nanoseconds inside Cpu::run
+
+    /** The counts at one instant, or a sum of such readings. */
+    struct Reading
+    {
+        uint64_t sent = 0;
+        uint64_t dropped = 0;
+        uint64_t malformed = 0;
+        uint64_t simFaults = 0;
+        uint64_t budget = 0;
+        uint64_t quarantined = 0;
+        uint64_t insts = 0;
+        uint64_t bytes = 0;
+        uint64_t runNs = 0;
+
+        uint64_t faults() const { return malformed + simFaults + budget; }
+        uint64_t packets() const { return sent + dropped + faults(); }
+
+        Reading &operator+=(const Reading &other);
+    };
+
+    Reading read() const;
+};
+
+/**
+ * One engine id's live state beyond its counts: the gated
+ * instructions-per-packet histogram and flow table, and the
+ * dispatcher's queue depth.  Written by the engine's worker thread
+ * (or the single bench thread) and the dispatcher, read concurrently
+ * by the pump; every member is individually thread-safe, so no outer
+ * lock exists to contend on the per-packet path.
  */
 struct EngineTelemetry
 {
-    /**
-     * Since-start totals over every packet the engine processed,
-     * completed or faulted, kept whether or not the gate is up.
-     * Only the owning engine writes them, on a cache line of their
-     * own: the dispatcher stores queueDepth every batch.
-     */
-    struct alignas(cacheLineBytes) Totals
-    {
-        std::atomic<uint64_t> packets{0};
-        std::atomic<uint64_t> bytes{0};
-        std::atomic<uint64_t> insts{0};
-        std::atomic<uint64_t> faults{0};
-    };
-    Totals totals;
-
     uint32_t engineId = 0;
 
     /**
@@ -141,45 +198,31 @@ struct EngineTelemetry
 
     FlowTopK topk;
 
-    /**
-     * Add one processed packet to totals.  One writer owns an engine
-     * id at a time (see Telemetry), so a relaxed load and store
-     * replace a locked read-modify-write on the packet path.
-     */
-    void
-    count(uint64_t insts_n, uint64_t bytes_n)
-    {
-        bump(totals.packets, 1);
-        bump(totals.bytes, bytes_n);
-        bump(totals.insts, insts_n);
-    }
-
-    /** count() one faulted packet, and add it to the fault total. */
-    void
-    countFault(uint64_t insts_n, uint64_t bytes_n)
-    {
-        count(insts_n, bytes_n);
-        bump(totals.faults, 1);
-    }
-
-    /** Zero the totals, the histogram and the flow table (test hook). */
-    void reset();
-
   private:
-    static void
-    bump(std::atomic<uint64_t> &total, uint64_t n)
-    {
-        total.store(total.load(std::memory_order_relaxed) + n,
-                    std::memory_order_relaxed);
-    }
+    friend class Telemetry;
+
+    /**
+     * The records of live benches on this id, and the sum of the
+     * final readings of those destroyed; the hub's lock guards both.
+     */
+    std::vector<const EngineCounts *> attached;
+    EngineCounts::Reading retired;
 };
 
 /**
- * Process-global hub of per-engine telemetry.  engine(id) is
+ * Process-global hub of per-engine telemetry, and the sums behind
+ * the registry's pb.* and sim.interp.run_ns series.  engine(id) is
  * find-or-create and the returned reference is stable for the
  * process lifetime, so engines resolve it once at construction.
- * One writer owns an id at a time (MultiCoreBench gives each worker
- * a distinct id; sequential owners are ordered by thread joins).
+ *
+ * Each PacketBench attaches its EngineCounts under its engine id when
+ * built and retires it when destroyed, which folds the record's
+ * counts into the id's retired total: an engine's since-start counts
+ * never decrease, however many benches come and go on its id.  Built
+ * on first use, the hub registers the pb.* series in the default
+ * registry as views of total(), and it is never destroyed, so it
+ * outlives every registry read at exit.  Locks are taken registry
+ * first, then hub: the hub never calls the registry holding its own.
  */
 class Telemetry
 {
@@ -189,14 +232,30 @@ class Telemetry
     /** The record for engine @p id (find-or-create, stable ref). */
     EngineTelemetry &engine(uint32_t id);
 
-    /** Every registered engine, ordered by id. */
-    std::vector<EngineTelemetry *> engines() const;
+    /** Count @p counts under engine @p id until retire(). */
+    EngineTelemetry &attach(uint32_t id, const EngineCounts &counts);
 
-    /** reset() every engine record (test hook). */
-    void reset();
+    /** Stop reading @p counts; add its final reading to @p id's. */
+    void retire(uint32_t id, const EngineCounts &counts);
+
+    /** One engine's since-start counts at one reading. */
+    struct EngineReading
+    {
+        const EngineTelemetry *telem = nullptr;
+        EngineCounts::Reading counts;
+    };
+
+    /** Every engine, each read once under the hub's lock. */
+    std::vector<EngineReading> read() const;
+
+    /** The sum of read(): the process's since-start counts. */
+    EngineCounts::Reading total() const;
 
   private:
-    Telemetry() = default;
+    Telemetry();
+
+    /** engine() with the lock held. */
+    EngineTelemetry &find(uint32_t id);
 
     mutable std::mutex mu;
     std::vector<std::unique_ptr<EngineTelemetry>> records;
@@ -271,16 +330,13 @@ class StatsPump
 
   private:
     /**
-     * One engine as a tick saw it: its since-start totals, and their
+     * One engine as a tick saw it: its since-start counts, and their
      * rates over the tick's interval.
      */
     struct EngineSample
     {
         const EngineTelemetry *telem = nullptr;
-        uint64_t packets = 0;
-        uint64_t bytes = 0;
-        uint64_t insts = 0;
-        uint64_t faults = 0;
+        EngineCounts::Reading counts;
         uint64_t queueDepth = 0;
         Histogram::Snapshot instsPerPacket; ///< since start
         double pps = 0.0;
@@ -295,11 +351,7 @@ class StatsPump
     {
         uint64_t wallNs = 0;
         uint64_t intervalNs = 0;
-        uint64_t packets = 0;
-        uint64_t insts = 0;
-        uint64_t sent = 0;
-        uint64_t dropped = 0;
-        uint64_t faults = 0;
+        EngineCounts::Reading counts; ///< the engines' sum
         uint64_t traceDropped = 0;
         double pps = 0.0;
         double mips = 0.0;
@@ -307,7 +359,7 @@ class StatsPump
         std::map<uint32_t, EngineSample> engines; ///< by engine id
     };
 
-    /** Read every since-start total, back to back. */
+    /** Read every engine once; the process is their sum. */
     Sample readTotals() const;
     /** Fill @p now's rates: its totals' growth since prev. */
     void computeRates(Sample &now) const;

@@ -32,6 +32,26 @@ TEST(Metrics, CounterAddsAndReads)
     EXPECT_EQ(&reg.counter("test.events"), &c);
 }
 
+TEST(Metrics, CounterViewReadsItsSourceAndResetsToZero)
+{
+    Registry reg;
+    uint64_t source = 5;
+    reg.counterView("test.view", [&source] { return source; });
+    Counter &view = reg.counter("test.view");
+    EXPECT_EQ(view.value(), 5u);
+    source = 12;
+    EXPECT_EQ(view.value(), 12u);
+    reg.reset();
+    EXPECT_EQ(view.value(), 0u);
+    source = 20;
+    EXPECT_EQ(view.value(), 8u);
+    // Snapshots and the exposition read the view too.
+    EXPECT_EQ(reg.snapshot().at(0).counter, 8u);
+    EXPECT_EQ(reg.snapshot().at(0).kind, MetricKind::Counter);
+    EXPECT_THROW(reg.counterView("test.view", [] { return uint64_t{0}; }),
+                 PanicError);
+}
+
 TEST(Metrics, GaugeHoldsLastValue)
 {
     Registry reg;

@@ -1,8 +1,9 @@
 /**
  * Stats-pump tests: concurrent pump-vs-writer stress over the engine
- * totals, histograms and flow tables (the TSan target for the
+ * counts, histograms and flow tables (the TSan target for the
  * telemetry plane), NDJSON well-formedness and monotonicity, the
- * final-record-on-stop guarantee, rates that cover exactly their
+ * final-record-on-stop guarantee, records that balance mid-run,
+ * counts that outlive their bench, rates that cover exactly their
  * record's interval, the console-only pump, the live Prometheus
  * rewrite, and the disabled-telemetry overhead bound (the stats
  * analogue of TracingOverhead).
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "core/multicore.hh"
 #include "core/packetbench.hh"
 #include "isa/assembler.hh"
 #include "net/tracegen.hh"
@@ -64,9 +67,20 @@ jsonField(const std::string &line, const std::string &field)
                          10);
 }
 
+/** Engine @p id's since-start counts, as the pump reads them. */
+EngineCounts::Reading
+hubCounts(uint32_t id)
+{
+    for (const Telemetry::EngineReading &r : Telemetry::instance().read()) {
+        if (r.telem->engineId == id)
+            return r.counts;
+    }
+    ADD_FAILURE() << "no engine " << id << " in the hub";
+    return {};
+}
+
 TEST(StatsPump, PumpVsWriterStressProducesValidNdjson)
 {
-    Telemetry::instance().reset();
     std::string path = ::testing::TempDir() + "stats_stress.ndjson";
 
     constexpr int kWriters = 4;
@@ -76,14 +90,16 @@ TEST(StatsPump, PumpVsWriterStressProducesValidNdjson)
     StatsPump pump;
     pump.start(path, 10);
 
-    // Writers hammer the totals, the histogram and the flow table
+    // Writers hammer their counts, the histogram and the flow table
     // while the pump snapshots them concurrently — the race TSan
     // must find nothing wrong with.
     std::vector<std::thread> writers;
     for (int t = 0; t < kWriters; t++) {
         writers.emplace_back([&, t] {
-            EngineTelemetry &telem = Telemetry::instance().engine(
-                kBaseEngine + static_cast<uint32_t>(t));
+            const uint32_t engine = kBaseEngine + static_cast<uint32_t>(t);
+            EngineCounts counts;
+            EngineTelemetry &telem =
+                Telemetry::instance().attach(engine, counts);
             FlowId id;
             id.src = 0x0a000000u + static_cast<uint32_t>(t);
             id.dst = 0xc0a80001u;
@@ -94,14 +110,17 @@ TEST(StatsPump, PumpVsWriterStressProducesValidNdjson)
             while (!done.load(std::memory_order_relaxed)) {
                 uint64_t insts = 100 + n % 7;
                 if (n % 50 == 0) {
-                    telem.countFault(insts, 64);
+                    counts.malformed.add();
                 } else {
-                    telem.count(insts, 64);
+                    counts.sent.add();
                     telem.instsPerPacket.observe(insts);
                 }
+                counts.insts.add(insts);
+                counts.bytes.add(64);
                 telem.topk.observe(n % 13, id, 64, false);
                 n++;
             }
+            Telemetry::instance().retire(engine, counts);
         });
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -257,6 +276,17 @@ TEST(StatsPump, SetStatsEnabledControlsGateWithoutPump)
     EXPECT_FALSE(statsEnabled());
 }
 
+/** The packets every timed loop replays, made before any timing. */
+std::vector<net::Packet>
+makePackets(uint32_t count)
+{
+    net::SyntheticTrace trace(net::Profile::MRA, count, 11);
+    std::vector<net::Packet> packets;
+    while (auto packet = trace.next())
+        packets.push_back(std::move(*packet));
+    return packets;
+}
+
 /** Table 2-style header-processing handler: checksum the header. */
 class HeaderApp : public core::Application
 {
@@ -299,24 +329,39 @@ TEST(EngineTelemetry, TotalsCountEveryPacketWithTheGateDown)
         bytes += packet->l3Len();
         insts += bench.processPacket(*packet).stats.instCount;
     }
-    EXPECT_EQ(telem.totals.packets.load(), 200u);
-    EXPECT_EQ(telem.totals.insts.load(), insts);
-    EXPECT_EQ(telem.totals.bytes.load(), bytes);
+    EngineCounts::Reading counts = hubCounts(4242);
+    EXPECT_EQ(counts.packets(), 200u);
+    EXPECT_EQ(counts.insts, insts);
+    EXPECT_EQ(counts.bytes, bytes);
     EXPECT_EQ(telem.instsPerPacket.snapshot().count, 0u)
         << "the histogram stays behind the gate";
-    telem.reset();
-    EXPECT_EQ(telem.totals.packets.load(), 0u);
 }
 
-/** The packets every timed loop replays, made before any timing. */
-std::vector<net::Packet>
-makePackets(uint32_t count)
+TEST(Telemetry, DestroyedBenchesStayCounted)
 {
-    net::SyntheticTrace trace(net::Profile::MRA, count, 11);
-    std::vector<net::Packet> packets;
-    while (auto packet = trace.next())
-        packets.push_back(std::move(*packet));
-    return packets;
+    // A bench's counts outlive it: its engine's since-start total
+    // and pb.packets keep them, while a later bench on the same id
+    // counts only its own packets.
+    constexpr uint32_t kEngine = 4545; // a record no other test writes
+    constexpr uint32_t kFirst = 300, kSecond = 200;
+    core::BenchConfig cfg;
+    cfg.engineId = kEngine;
+    HeaderApp app;
+    std::vector<net::Packet> packets = makePackets(kFirst + kSecond);
+    Counter &packets_ctr = defaultRegistry().counter("pb.packets");
+    uint64_t before = packets_ctr.value();
+    {
+        core::PacketBench first(app, cfg);
+        for (uint32_t i = 0; i < kFirst; i++)
+            first.processPacket(packets[i]);
+    }
+    core::PacketBench second(app, cfg);
+    for (uint32_t i = kFirst; i < kFirst + kSecond; i++)
+        second.processPacket(packets[i]);
+
+    EXPECT_EQ(hubCounts(kEngine).packets(), kFirst + kSecond);
+    EXPECT_EQ(packets_ctr.value() - before, kFirst + kSecond);
+    EXPECT_EQ(second.packetsProcessed(), kSecond);
 }
 
 /** Spends 2 * loops + 3 instructions on every packet. */
@@ -376,7 +421,6 @@ TEST(StatsPump, RecordRatesCoverOnlyTheirInterval)
     // one phase, and no timing enters the test.
     constexpr uint32_t kEngine = 4343; // a record no other test writes
     EngineTelemetry &telem = Telemetry::instance().engine(kEngine);
-    telem.reset();
     core::BenchConfig cfg;
     cfg.engineId = kEngine;
     cfg.faultPolicy = core::FaultPolicy::Drop;
@@ -477,6 +521,70 @@ TEST(StatsPump, ConsoleOnlyPumpPrintsLinesAndLeavesTheGateDown)
     EXPECT_GT(mpps, 0.0) << err;
     EXPECT_GT(mips, 0.0) << err;
     EXPECT_NE(err.find(" | tail\n"), std::string::npos) << err;
+}
+
+/** A synthetic MRA trace with every @p every-th packet empty. */
+class EmptyEvery : public net::TraceSource
+{
+  public:
+    EmptyEvery(uint32_t count, uint32_t every)
+        : trace(net::Profile::MRA, count, 5), every(every)
+    {
+    }
+
+    std::optional<net::Packet>
+    next() override
+    {
+        if (++n % every == 0)
+            return net::Packet{};
+        return trace.next();
+    }
+
+    std::string name() const override { return "empty-every"; }
+
+  private:
+    net::SyntheticTrace trace;
+    uint32_t every;
+    uint64_t n = 0;
+};
+
+TEST(StatsPump, EveryRecordBalancesDuringAParallelRun)
+{
+    // Mid-run records balance exactly like the final one: the pump
+    // reads every engine once, and the process is their sum.
+    std::string path = ::testing::TempDir() + "stats_balance.ndjson";
+    core::BenchConfig cfg;
+    cfg.parallel = true;
+    cfg.faultPolicy = core::FaultPolicy::Drop;
+    core::MultiCoreBench cores(
+        [] { return std::make_unique<HeaderApp>(); }, 4, cfg);
+    EmptyEvery source(200'000, 97);
+    StatsPump pump;
+    pump.start(path, 10);
+    core::MultiCoreResult res = cores.run(source, UINT64_MAX);
+    pump.stop();
+    EXPECT_GT(res.totalFaults, 0u);
+
+    auto lines = readLines(path);
+    ASSERT_GE(lines.size(), 3u);
+    for (const std::string &line : lines) {
+        JsonValue rec = JsonValue::parse(line);
+        const JsonValue &process = rec.at("process");
+        auto count = [&](const char *key) {
+            return static_cast<uint64_t>(process.at(key).asNumber());
+        };
+        EXPECT_EQ(count("packets"),
+                  count("sent") + count("dropped") + count("faults"))
+            << line;
+        uint64_t packets = 0, faults = 0;
+        for (const JsonValue &e : rec.at("engines").asArray()) {
+            packets += static_cast<uint64_t>(e.at("packets").asNumber());
+            faults += static_cast<uint64_t>(e.at("faults").asNumber());
+        }
+        EXPECT_EQ(packets, count("packets")) << line;
+        EXPECT_EQ(faults, count("faults")) << line;
+    }
+    std::remove(path.c_str());
 }
 
 uint64_t

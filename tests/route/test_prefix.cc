@@ -79,6 +79,7 @@ TEST(TableGen, CoreTableShape)
 
     std::map<uint8_t, uint32_t> by_len;
     std::set<std::pair<uint32_t, uint8_t>> unique;
+    std::set<uint32_t> slash8_octets;
     bool has_default = false;
     for (const auto &entry : table) {
         EXPECT_LE(entry.len, 32u);
@@ -92,9 +93,14 @@ TEST(TableGen, CoreTableShape)
             EXPECT_GE(entry.nextHop, 1u);
         EXPECT_LE(entry.nextHop, numInterfaces);
         by_len[entry.len]++;
+        if (entry.len == 8)
+            slash8_octets.insert(entry.prefix >> 24);
     }
     EXPECT_TRUE(has_default);
-    EXPECT_EQ(by_len[8], 256u + by_len[8] - 256u);
+    // Exactly the 256 /8s, one per top octet, so every lookup
+    // resolves past the default route.
+    EXPECT_EQ(by_len[8], 256u);
+    EXPECT_EQ(slash8_octets.size(), 256u);
     // /24 dominates, like real BGP tables.
     uint32_t max_count = 0;
     uint8_t max_len = 0;
