@@ -176,17 +176,50 @@ Registry::counter(const std::string &name)
 }
 
 void
-Registry::counterView(const std::string &name,
-                      std::function<uint64_t()> read)
+Registry::counterViews(const std::vector<std::string> &names,
+                       std::function<std::vector<uint64_t>()> readAll)
 {
-    Slot &s = slot(name, MetricKind::Counter);
-    std::lock_guard<std::mutex> lock(mu);
-    if (s.view)
-        panic("counter '%s' is already a view", name.c_str());
-    s.view = std::make_unique<Counter::View>();
-    s.view->read = std::move(read);
-    s.c->view.store(s.view.get(), std::memory_order_release);
+    auto source =
+        std::make_shared<const std::function<std::vector<uint64_t>()>>(
+            std::move(readAll));
+    for (size_t i = 0; i < names.size(); i++) {
+        Slot &s = slot(names[i], MetricKind::Counter);
+        std::lock_guard<std::mutex> lock(mu);
+        if (s.view)
+            panic("counter '%s' is already a view", names[i].c_str());
+        s.view = std::make_unique<Counter::View>();
+        s.view->readAll = source;
+        s.view->index = i;
+        s.c->view.store(s.view.get(), std::memory_order_release);
+    }
 }
+
+namespace
+{
+
+/**
+ * Each view group's reading, taken once per snapshot() or reset(), so
+ * the counters of one group read as of one instant.
+ */
+class GroupReadings
+{
+  public:
+    using Source = std::function<std::vector<uint64_t>()>;
+
+    const std::vector<uint64_t> &
+    of(const std::shared_ptr<const Source> &source)
+    {
+        auto [it, fresh] = readings.try_emplace(source.get());
+        if (fresh)
+            it->second = (*source)();
+        return it->second;
+    }
+
+  private:
+    std::map<const void *, std::vector<uint64_t>> readings;
+};
+
+} // namespace
 
 Gauge &
 Registry::gauge(const std::string &name)
@@ -206,6 +239,7 @@ Registry::snapshot() const
     std::lock_guard<std::mutex> lock(mu);
     std::vector<Entry> entries;
     entries.reserve(slots.size());
+    GroupReadings groups;
     // std::map iterates in name order, so the snapshot is already
     // deterministic.
     for (const auto &[name, s] : slots) {
@@ -214,7 +248,8 @@ Registry::snapshot() const
         e.kind = s.kind;
         switch (s.kind) {
           case MetricKind::Counter:
-            e.counter = s.c->value();
+            e.counter = s.view ? s.view->since(groups.of(s.view->readAll))
+                               : s.c->value();
             break;
           case MetricKind::Gauge:
             e.gauge = s.g->value();
@@ -239,14 +274,16 @@ void
 Registry::reset()
 {
     std::lock_guard<std::mutex> lock(mu);
+    GroupReadings groups;
     for (auto &[name, s] : slots) {
         switch (s.kind) {
           case MetricKind::Counter:
             for (auto &stripe : s.c->stripes)
                 stripe.value.store(0, std::memory_order_relaxed);
             if (s.view)
-                s.view->base.store(s.view->read(),
-                                   std::memory_order_relaxed);
+                s.view->base.store(
+                    groups.of(s.view->readAll)[s.view->index],
+                    std::memory_order_relaxed);
             break;
           case MetricKind::Gauge:
             s.g->value_.store(0.0, std::memory_order_relaxed);

@@ -28,10 +28,11 @@
  * per-core-counter idiom of packet-processing daemons.
  *
  * A counter can instead be a view of a count kept elsewhere
- * (Registry::counterView), computed when read.  The packet counts
+ * (Registry::counterViews), computed when read.  The packet counts
  * (pb.packets, pb.insts, pb.sent, pb.dropped, pb.faults.*) and
- * sim.interp.run_ns are views of the engines' records
- * (obs/stats.hh), so nothing adds to them per packet.
+ * sim.interp.run_ns are one group of views of the engines' records
+ * (obs/stats.hh), read once per snapshot, so nothing adds to them
+ * per packet and every snapshot balances.
  *
  * Every series here is a since-start total or a last-written value.
  * Live rates are derived from them, not stored: the stats pump
@@ -100,7 +101,7 @@ stripeIndex()
 
 /**
  * Monotonically increasing event count.  A counter registered with
- * Registry::counterView() is a view: its value is read from a count
+ * Registry::counterViews() is a view: its value is read from a count
  * kept elsewhere, and add() does not change it.
  */
 class Counter
@@ -120,11 +121,8 @@ class Counter
     uint64_t
     value() const
     {
-        if (const View *v = view.load(std::memory_order_acquire)) {
-            uint64_t now = v->read();
-            uint64_t base = v->base.load(std::memory_order_relaxed);
-            return now > base ? now - base : 0;
-        }
+        if (const View *v = view.load(std::memory_order_acquire))
+            return v->since((*v->readAll)());
         uint64_t total = 0;
         for (const Stripe &stripe : stripes)
             total += stripe.value.load(std::memory_order_relaxed);
@@ -140,13 +138,28 @@ class Counter
     };
     Stripe stripes[numStripes];
 
-    /** A view's source, and its reading at the last reset(). */
+    /**
+     * One counter of a Registry::counterViews() group: entry @c index
+     * of what the group's source reads, and that entry at the last
+     * reset().
+     */
     struct View
     {
-        std::function<uint64_t()> read;
+        std::shared_ptr<const std::function<std::vector<uint64_t>()>>
+            readAll;
+        size_t index = 0;
         std::atomic<uint64_t> base{0};
+
+        /** The count since the last reset, from the group's @p all. */
+        uint64_t
+        since(const std::vector<uint64_t> &all) const
+        {
+            const uint64_t now = all[index];
+            const uint64_t b = base.load(std::memory_order_relaxed);
+            return now > b ? now - b : 0;
+        }
     };
-    /** Set once by Registry::counterView(), which owns it. */
+    /** Set once by Registry::counterViews(), which owns it. */
     std::atomic<View *> view{nullptr};
 };
 
@@ -258,15 +271,18 @@ class Registry
     Histogram &histogram(const std::string &name);
 
     /**
-     * Make counter @p name a view of @p read, a since-start count
-     * kept outside the registry and computed whenever the counter is
-     * read.  reset() makes the view count from zero.  @p read may
-     * take its own lock: the registry calls it holding the registry
-     * lock, so its source must never call the registry while holding
-     * that lock.  Panics if @p name is already a view.
+     * Make counters @p names views of @p readAll, which returns one
+     * since-start count per name, in order, kept outside the registry
+     * and computed whenever a counter of the group is read.  snapshot()
+     * and reset() call @p readAll once for the whole group, so its
+     * counters read as of one instant (the packet series balance in
+     * every snapshot).  reset() makes the views count from zero.
+     * @p readAll may take its own lock: the registry calls it holding
+     * the registry lock, so its source must never call the registry
+     * while holding that lock.  Panics if a name is already a view.
      */
-    void counterView(const std::string &name,
-                     std::function<uint64_t()> read);
+    void counterViews(const std::vector<std::string> &names,
+                      std::function<std::vector<uint64_t>()> readAll);
 
     /** One metric in a snapshot; only the matching field is valid. */
     struct Entry

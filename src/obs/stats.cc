@@ -104,9 +104,22 @@ Telemetry::Telemetry()
         {"pb.faults.quarantined", [](R r) { return r.quarantined; }},
         {"sim.interp.run_ns", [](R r) { return r.runNs; }},
     };
-    for (auto [name, field] : views)
-        defaultRegistry().counterView(
-            name, [this, field = field] { return field(total()); });
+    std::vector<std::string> names;
+    std::vector<Field> fields;
+    for (auto [name, field] : views) {
+        names.emplace_back(name);
+        fields.push_back(field);
+    }
+    // One group: a registry snapshot reads every engine once, so the
+    // series balance in it (pb.packets == sent + dropped + faults).
+    defaultRegistry().counterViews(names, [this, fields] {
+        const EngineCounts::Reading r = total();
+        std::vector<uint64_t> counts;
+        counts.reserve(fields.size());
+        for (Field field : fields)
+            counts.push_back(field(r));
+        return counts;
+    });
 }
 
 EngineTelemetry &

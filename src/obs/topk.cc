@@ -102,13 +102,4 @@ FlowTopK::observedPackets() const
     return observed;
 }
 
-void
-FlowTopK::reset()
-{
-    std::lock_guard<std::mutex> lock(mu);
-    entries.clear();
-    index.clear();
-    observed = 0;
-}
-
 } // namespace pb::obs

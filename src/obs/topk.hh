@@ -88,9 +88,6 @@ class FlowTopK
 
     uint32_t capacity() const { return cap; }
 
-    /** Drop all tracked flows (test hook). */
-    void reset();
-
   private:
     const uint32_t cap;
     mutable std::mutex mu;

@@ -113,7 +113,42 @@ buildPageTable()
 
 inline constexpr PageTable pageTable = buildPageTable();
 
+/** No two regions intersect one lookup page. */
+constexpr bool
+pagesDisjoint()
+{
+    auto first = [](unsigned r) { return regionBase[r] >> pageShift; };
+    auto last = [](unsigned r) {
+        return static_cast<uint32_t>(
+            (static_cast<uint64_t>(regionBase[r]) + regionSize[r] - 1) >>
+            pageShift);
+    };
+    for (unsigned a = 0; a < numRegions; a++) {
+        for (unsigned b = a + 1; b < numRegions; b++) {
+            if (first(a) <= last(b) && first(b) <= last(a))
+                return false;
+        }
+    }
+    return true;
+}
+
+/** Every region base and size is a multiple of 4. */
+constexpr bool
+wordGranular()
+{
+    for (unsigned r = 0; r < numRegions; r++) {
+        if (regionBase[r] % 4 != 0 || regionSize[r] % 4 != 0)
+            return false;
+    }
+    return true;
+}
+
 } // namespace detail
+
+// The page table's one-region-per-page entries, and Memory's
+// predicted-region accessors, rest on these: an aligned access inside
+// a region's extent is one the page-table resolve maps to it.
+static_assert(detail::pagesDisjoint() && detail::wordGranular());
 
 /**
  * Index of the region intersecting @p addr's page, or numRegions

@@ -210,6 +210,45 @@ class Memory
     }
     /** @} */
 
+    /**
+     * @name Predicted-region accessors.
+     * The block-stepped loop's first try at a load or store: when
+     * [addr, addr + sizeof(T)) is naturally aligned and inside
+     * @p region (never Unmapped), read or write its bytes directly and
+     * return true; otherwise return false, having done nothing, and
+     * the caller takes the checked accessor above, which faults as it
+     * always does.  An access accepted here is one resolve() maps to
+     * @p region: no page is shared by two regions, and region bases
+     * and sizes are multiples of 4.
+     * @{
+     */
+    template <typename T>
+    bool
+    loadIn(MemRegion region, uint32_t addr, T &value) const
+    {
+        const auto idx = static_cast<unsigned>(region);
+        const uint32_t off = addr - layout::regionBase[idx];
+        if (addr % sizeof(T) != 0 ||
+            off > layout::regionSize[idx] - sizeof(T)) [[unlikely]]
+            return false;
+        value = loadWord<T>(store[idx] + off);
+        return true;
+    }
+
+    template <typename T>
+    bool
+    storeIn(MemRegion region, uint32_t addr, T value)
+    {
+        const auto idx = static_cast<unsigned>(region);
+        const uint32_t off = addr - layout::regionBase[idx];
+        if (addr % sizeof(T) != 0 ||
+            off > layout::regionSize[idx] - sizeof(T)) [[unlikely]]
+            return false;
+        storeWord(store[idx] + off, value);
+        return true;
+    }
+    /** @} */
+
     /** Bulk copy into simulated memory (host-side, unaccounted). */
     void writeBlock(uint32_t addr, const uint8_t *data, uint32_t len);
 
@@ -261,7 +300,8 @@ class Memory
     {
         T v;
         std::memcpy(&v, p, sizeof(T));
-        if constexpr (std::endian::native == std::endian::big) {
+        if constexpr (std::endian::native == std::endian::big &&
+                      sizeof(T) > 1) {
             if constexpr (sizeof(T) == 2)
                 v = bswap16(v);
             else
@@ -274,7 +314,8 @@ class Memory
     static void
     storeWord(uint8_t *p, T v)
     {
-        if constexpr (std::endian::native == std::endian::big) {
+        if constexpr (std::endian::native == std::endian::big &&
+                      sizeof(T) > 1) {
             if constexpr (sizeof(T) == 2)
                 v = bswap16(v);
             else

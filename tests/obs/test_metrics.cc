@@ -36,7 +36,9 @@ TEST(Metrics, CounterViewReadsItsSourceAndResetsToZero)
 {
     Registry reg;
     uint64_t source = 5;
-    reg.counterView("test.view", [&source] { return source; });
+    reg.counterViews({"test.view"}, [&source] {
+        return std::vector<uint64_t>{source};
+    });
     Counter &view = reg.counter("test.view");
     EXPECT_EQ(view.value(), 5u);
     source = 12;
@@ -48,8 +50,37 @@ TEST(Metrics, CounterViewReadsItsSourceAndResetsToZero)
     // Snapshots and the exposition read the view too.
     EXPECT_EQ(reg.snapshot().at(0).counter, 8u);
     EXPECT_EQ(reg.snapshot().at(0).kind, MetricKind::Counter);
-    EXPECT_THROW(reg.counterView("test.view", [] { return uint64_t{0}; }),
+    EXPECT_THROW(reg.counterViews({"test.view"},
+                                  [] { return std::vector<uint64_t>{0}; }),
                  PanicError);
+}
+
+TEST(Metrics, CounterViewGroupIsReadOncePerSnapshot)
+{
+    // A source that moves on every read: the counters of one group
+    // must still agree within each snapshot.
+    Registry reg;
+    uint64_t reads = 0;
+    reg.counterViews({"group.a", "group.b", "group.sum"}, [&reads] {
+        reads++;
+        return std::vector<uint64_t>{reads, reads, 2 * reads};
+    });
+    auto check = [&](uint64_t want) {
+        uint64_t a = 0, b = 0, sum = 0;
+        for (const Registry::Entry &e : reg.snapshot()) {
+            (e.name == "group.a" ? a : e.name == "group.b" ? b : sum) =
+                e.counter;
+        }
+        EXPECT_EQ(a, want);
+        EXPECT_EQ(b, want);
+        EXPECT_EQ(sum, a + b);
+    };
+    check(1);
+    check(2);
+    reg.reset(); // one read, the group's new base
+    check(1);
+    EXPECT_EQ(reads, 4u);
+    EXPECT_EQ(reg.counter("group.b").value(), 2u);
 }
 
 TEST(Metrics, GaugeHoldsLastValue)

@@ -587,6 +587,50 @@ TEST(StatsPump, EveryRecordBalancesDuringAParallelRun)
     std::remove(path.c_str());
 }
 
+TEST(Telemetry, RegistrySnapshotsBalanceDuringAParallelMultiCoreRun)
+{
+    // The pb.* series are views of one source, read once per
+    // snapshot, so a snapshot taken while engines run (a live
+    // Prometheus rewrite, a report) balances like an NDJSON record.
+    core::BenchConfig cfg;
+    cfg.parallel = true;
+    cfg.faultPolicy = core::FaultPolicy::Drop;
+    core::MultiCoreBench cores(
+        [] { return std::make_unique<HeaderApp>(); }, 4, cfg);
+    EmptyEvery source(200'000, 97);
+    std::atomic<bool> done{false};
+    std::thread run([&] {
+        cores.run(source, UINT64_MAX);
+        done.store(true);
+    });
+    size_t snapshots = 0, unbalanced = 0;
+    std::string example;
+    while (!done.load()) {
+        uint64_t packets = 0, sent = 0, dropped = 0, faults = 0;
+        for (const Registry::Entry &e : defaultRegistry().snapshot()) {
+            if (e.name == "pb.packets")
+                packets = e.counter;
+            else if (e.name == "pb.sent")
+                sent = e.counter;
+            else if (e.name == "pb.dropped")
+                dropped = e.counter;
+            else if (e.name == "pb.faults.total")
+                faults = e.counter;
+        }
+        snapshots++;
+        if (packets != sent + dropped + faults) {
+            unbalanced++;
+            example = std::to_string(packets) + " != " +
+                      std::to_string(sent) + " + " +
+                      std::to_string(dropped) + " + " +
+                      std::to_string(faults);
+        }
+    }
+    run.join();
+    EXPECT_GT(snapshots, 10u);
+    EXPECT_EQ(unbalanced, 0u) << "of " << snapshots << ", e.g. " << example;
+}
+
 uint64_t
 timePacketLoop(core::PacketBench &bench, std::span<net::Packet> packets,
                bool extra_telemetry)

@@ -143,15 +143,6 @@ TEST(FlowTopK, FaultsAndBytesAccumulatePerEntry)
     EXPECT_EQ(top[0].faults, 2u);
 }
 
-TEST(FlowTopK, ResetDropsAllState)
-{
-    FlowTopK topk(4);
-    topk.observe(1, flowIdFor(1), 64, false);
-    topk.reset();
-    EXPECT_TRUE(topk.top().empty());
-    EXPECT_EQ(topk.observedPackets(), 0u);
-}
-
 TEST(FlowTopK, FormatFlowIdRendersTuple)
 {
     FlowId id;
